@@ -3,7 +3,8 @@
 Imports the compiled kernels when the extension was built, otherwise the
 pure-Python twins; SALIENT_PURE=1 forces the fallback. The compiled backend
 only accepts n <= 14 (int64 counts), so calls beyond that are routed to the
-pure backend, whose Python ints never overflow.
+pure backend, whose Python ints never overflow. zeta_vector also goes there
+when its inputs are large enough for an int64 sum to wrap.
 """
 from __future__ import annotations
 
@@ -38,7 +39,11 @@ def natural_flag_vectors(n: int, down) -> tuple[list[int], list[int]]:
 
 
 def zeta_vector(vec, nbits: int) -> list[int]:
-    if _impl is not _pykernels and nbits >= _C_MAX_N:
+    # each output sums at most 2**nbits inputs, so the int64 twin cannot
+    # wrap while max|v| * 2**nbits < 2**63
+    if _impl is not _pykernels and (
+            nbits >= _C_MAX_N
+            or max(map(abs, vec), default=0) >= 1 << (63 - nbits)):
         return _pykernels.zeta_vector(vec, nbits)
     return _impl.zeta_vector(vec, nbits)
 

@@ -1,9 +1,10 @@
 """The acceptance suites: one callable per verification block.
 
-Each suite raises AssertionError on the first failed check and returns a
-one-line summary on success. The CLI subcommand ``verify`` and the pytest
-module tests/test_acceptance.py both run exactly these functions, so CI and
-an interactive reader exercise the same checks.
+Each suite raises InternalConsistencyError on the first failed check and
+returns a one-line summary on success. The checks are explicit raises, not
+assert statements, so they still run under python -O. The CLI subcommand
+``verify`` and the pytest module tests/test_acceptance.py both run exactly
+these functions, so CI and an interactive reader exercise the same checks.
 """
 from __future__ import annotations
 
@@ -13,12 +14,20 @@ import time
 from fractions import Fraction
 
 from salient import _kernels, classes, mfenum, posets, series, words
+from salient.errors import InternalConsistencyError, SalientError
 
 F_SEQUENCE = [1, 1, 1, 2, 8, 42, 258, 1824, 14664]
 SINGLETON_SEQUENCE = [1, 1, 0, 0, 2, 14, 90, 646, 5242]
 MF_BY_RANK = [1, 2, 6, 21, 78, 297, 1143, 4419]
 MF_BY_ELEMENTS = [1, 1, 2, 3, 7, 12, 28, 51, 117]
 DISTLAT_COUNTS = [1, 2, 4, 9, 21, 50, 120, 289]
+
+
+def _check(condition, detail="") -> None:
+    """Raise InternalConsistencyError, with str(detail) as its message,
+    unless condition holds."""
+    if not condition:
+        raise InternalConsistencyError(str(detail))
 
 
 def check_count_triple() -> str:
@@ -28,10 +37,10 @@ def check_count_triple() -> str:
     for n in range(9):
         brute = classes.count_classes_brute(n)
         formula = classes.f_inclusion_exclusion(n)
-        assert brute == formula == coeffs[n] == F_SEQUENCE[n], (
-            f"n={n}: brute={brute} formula={formula} series={coeffs[n]}")
+        _check(brute == formula == coeffs[n] == F_SEQUENCE[n],
+               f"n={n}: brute={brute} formula={formula} series={coeffs[n]}")
     elapsed = time.perf_counter() - t0
-    assert elapsed < 60, f"took {elapsed:.1f}s, budget 60s"
+    _check(elapsed < 60, f"took {elapsed:.1f}s, budget 60s")
     return f"n=0..8 triple agreement in {elapsed:.1f}s"
 
 
@@ -42,11 +51,11 @@ def check_salient_canonical() -> str:
     for n in range(8):
         for cls in classes.class_partition(n):
             salient = [w for w in cls.members if words._is_salient(w)]
-            assert len(salient) == 1, f"{cls.representative}: {salient}"
-            assert salient[0] == cls.members[0] == cls.representative
+            _check(len(salient) == 1, f"{cls.representative}: {salient}")
+            _check(salient[0] == cls.members[0] == cls.representative)
             orbits += 1
     elapsed = time.perf_counter() - t0
-    assert elapsed < 120, f"took {elapsed:.1f}s, budget 120s"
+    _check(elapsed < 120, f"took {elapsed:.1f}s, budget 120s")
     return f"{orbits} orbits checked in {elapsed:.1f}s"
 
 
@@ -55,11 +64,13 @@ def check_fibonacci_sizes() -> str:
     for n in range(8):
         for cls in classes.class_partition(n):
             for w in cls.members:
-                assert classes.class_size(w) == cls.size, w
+                _check(classes.class_size(w) == cls.size, w)
     for n in range(13):
-        assert classes.class_size(words.identity(n)) == words.fibonacci(n + 1)
+        _check(classes.class_size(words.identity(n))
+               == words.fibonacci(n + 1))
     for n in range(11):
-        assert classes.class_of(words.identity(n)).size == words.fibonacci(n + 1)
+        _check(classes.class_of(words.identity(n)).size
+               == words.fibonacci(n + 1))
     return "product sizes = BFS sizes for n <= 7; identity sizes to n = 12"
 
 
@@ -68,8 +79,8 @@ def check_singletons() -> str:
     ss = classes.singleton_series(8)
     for n in range(9):
         brute = classes.count_singletons(n)
-        assert brute == ss[n] == SINGLETON_SEQUENCE[n], (
-            f"n={n}: brute={brute} series={ss[n]}")
+        _check(brute == ss[n] == SINGLETON_SEQUENCE[n],
+               f"n={n}: brute={brute} series={ss[n]}")
     return "counts 1,1,0,0,2,14,90,646,5242 confirmed twice"
 
 
@@ -79,11 +90,11 @@ def check_geq_relation() -> str:
         for j in (2, 3, 4, 5):
             formula = classes.f_j_count(n, j, "formula")
             brute = classes.f_j_count(n, j, "brute")
-            assert formula == brute, f"n={n} j={j}: {formula} != {brute}"
+            _check(formula == brute, f"n={n} j={j}: {formula} != {brute}")
     orbits = {cls.members for cls in classes.class_partition(3, "geq:2")}
     expected = {((1, 2, 3),), ((3, 2, 1),), ((1, 3, 2), (3, 1, 2)),
                 ((2, 1, 3), (2, 3, 1))}
-    assert orbits == expected, orbits
+    _check(orbits == expected, orbits)
     return "formula = brute for n <= 7, j in 2..5; S3 orbits materialized"
 
 
@@ -96,11 +107,11 @@ def check_multiset_cf() -> str:
         spec = words.MultisetSpec.from_mapping(
             {v + 1: r for v, r in enumerate(counts)})
         partition = classes.multiset_class_partition(spec)
-        assert series.multiset_count_cf(spec) == len(partition), spec
+        _check(series.multiset_count_cf(spec) == len(partition), spec)
         specs += 1
     spec = words.MultisetSpec.parse("1:2,2:1,3:2")
     partition = classes.multiset_class_partition(spec)
-    assert len(partition) == 6 and all(c.size == 5 for c in partition)
+    _check(len(partition) == 6 and all(c.size == 5 for c in partition))
     return f"{specs} multisets cross-checked; {{1^2,2,3^2}} gives 6 classes of 5"
 
 
@@ -111,7 +122,7 @@ def check_f4_closed_form() -> str:
     for exps in itertools.product(range(9), repeat=4):
         if sum(exps) > 8:
             continue
-        assert series.f4_coefficient(*exps) == full.coefficient(exps), exps
+        _check(series.f4_coefficient(*exps) == full.coefficient(exps), exps)
         checked += 1
     base = series.cf_series(4, (6, 6, 6, 6), max_total=24, total_cap=6)
     for t in range(4):
@@ -121,28 +132,28 @@ def check_f4_closed_form() -> str:
                 continue
             want = powered.coefficient(exps)
             got = series.f4_t_coefficient(*exps, t)
-            assert got == want, (t, exps, got, want)
+            _check(got == want, (t, exps, got, want))
     return f"{checked} coefficients, plus t = 0..3 powers, all match"
 
 
 def check_umbral() -> str:
     """The deumbralized series reproduces both known count families."""
     t0 = time.perf_counter()
-    assert series.g_umbral_series(1, 8) == F_SEQUENCE
+    _check(series.g_umbral_series(1, 8) == F_SEQUENCE)
     half_t2 = series.TPoly({2: Fraction(1, 2)})
     expected_f = [series.TPoly.zero(), half_t2,
                   half_t2 - series.TPoly({3: 1}),
                   series.TPoly({4: 1}), series.TPoly({5: -1})]
-    assert series.umbral_f_coefficients(2, 4) == expected_f
+    _check(series.umbral_f_coefficients(2, 4) == expected_f)
     got = series.g_umbral_series(2, 4)
     brute = []
     for n in range(5):
         spec = words.MultisetSpec.from_mapping({v: 2 for v in range(1, n + 1)})
         brute.append(len(classes.multiset_class_partition(spec)))
-    assert got == brute, f"umbral {got} != brute {brute}"
-    assert brute[2] == 1 and brute[3] == 6
+    _check(got == brute, f"umbral {got} != brute {brute}")
+    _check(brute[2] == 1 and brute[3] == 6)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 120, f"took {elapsed:.1f}s, budget 120s"
+    _check(elapsed < 120, f"took {elapsed:.1f}s, budget 120s")
     return f"k=1 reproduces f(n); k=2 matches brute {brute} in {elapsed:.1f}s"
 
 
@@ -152,14 +163,14 @@ def check_flag_core() -> str:
     for n in range(8):
         for q in posets.all_natural_posets(n):
             alpha, beta = q.jq_flag_vectors()
-            assert beta == _kernels.descent_vector(q.n, q.down), q
-            assert _kernels.zeta_vector(beta, max(n - 1, 0)) == alpha, q
+            _check(beta == _kernels.descent_vector(q.n, q.down), q)
+            _check(_kernels.zeta_vector(beta, max(n - 1, 0)) == alpha, q)
             posets_checked += 1
     for n in range(9):
         q = posets.q_from_commuting_word(n)
         alpha, beta = q.jq_flag_vectors()
-        assert beta == q.descent_vector()
-        assert _kernels.zeta_vector(beta, max(n - 1, 0)) == alpha
+        _check(beta == q.descent_vector())
+        _check(_kernels.zeta_vector(beta, max(n - 1, 0)) == alpha)
     return f"{posets_checked} natural posets plus commutation posets to n = 8"
 
 
@@ -174,15 +185,15 @@ def check_distributive_classification() -> str:
             mf = all(-1 <= b <= 1 for b in beta)
             two_ideals = all(c <= 2 for c in q.ideal_size_profile())
             forbidden = q.is_two_plus_two_free() and q.is_width_le_two()
-            assert mf == two_ideals == forbidden, q
+            _check(mf == two_ideals == forbidden, q)
             qualifying += mf
         counts.append(qualifying)
-    assert counts[:5] == [1, 2, 4, 9, 21], counts
-    assert counts == DISTLAT_COUNTS[:7], counts
+    _check(counts[:5] == [1, 2, 4, 9, 21], counts)
+    _check(counts == DISTLAT_COUNTS[:7], counts)
     expansion = series.expand_rational([1, -2], [1, -3, 1, 1], 7)
-    assert expansion == [1, 1] + DISTLAT_COUNTS[1:7], expansion
+    _check(expansion == [1, 1] + DISTLAT_COUNTS[1:7], expansion)
     structural = [mfenum.count_distributive_mf(n) for n in range(1, 8)]
-    assert structural == counts, structural
+    _check(structural == counts, structural)
     return f"triple equivalence on 2450 posets; counts {counts}"
 
 
@@ -190,8 +201,8 @@ def check_two_per_rank() -> str:
     """Multiplicity-free equals at-most-two-per-rank for graded posets."""
     swept = 0
     for poset in posets.all_bounded_graded_posets(4, 9):
-        assert (poset.is_multiplicity_free()
-                == poset.has_at_most_two_per_rank()), poset
+        _check(poset.is_multiplicity_free()
+               == poset.has_at_most_two_per_rank(), poset)
         swept += 1
     return f"{swept} bounded graded posets, rank <= 4, size <= 9"
 
@@ -200,18 +211,19 @@ def check_mf_enumeration() -> str:
     """Generated family counts match both printed expansions and the
     bivariate series with the (1 - 3xy^2) numerator; the y^3 variant fails."""
     by_rank = mfenum.mf_counts_by_rank(8)
-    assert by_rank == MF_BY_RANK, by_rank
+    _check(by_rank == MF_BY_RANK, by_rank)
     by_elements = mfenum.mf_counts_by_elements(10)
-    assert by_elements == MF_BY_ELEMENTS, by_elements
+    _check(by_elements == MF_BY_ELEMENTS, by_elements)
     table = mfenum.mf_rank_element_table(8)
     good = mfenum.u_bivariate(8, 18)
     for n in range(1, 9):
         for k in range(2, 19):
-            assert good.coefficient((n, k)) == table.get((n, k), 0), (n, k)
+            _check(good.coefficient((n, k)) == table.get((n, k), 0),
+                   (n, k))
     bad = mfenum.u_bivariate(8, 18, numerator_y_power=3)
     mismatches = [(n, k) for n in range(1, 9) for k in range(2, 19)
                   if bad.coefficient((n, k)) != table.get((n, k), 0)]
-    assert mismatches, "the wrong numerator unexpectedly matched"
+    _check(mismatches, "the wrong numerator unexpectedly matched")
     return (f"counts by rank {by_rank[:4]}..., by elements ok; "
             f"y^3 variant fails at {mismatches[0]}")
 
@@ -222,19 +234,19 @@ def check_extremal_extensions() -> str:
         family = mfenum.distributive_mf_family(n)
         best = words.fibonacci(n + 1)
         winners = [q for q in family if q.extension_count() == best]
-        assert max(q.extension_count() for q in family) == best, n
-        assert len(winners) == 1, (n, len(winners))
+        _check(max(q.extension_count() for q in family) == best, n)
+        _check(len(winners) == 1, (n, len(winners)))
         qn = posets.q_from_commuting_word(n)
         gamma = "".join("01"[i % 2] for i in range(n - 1))
-        assert posets.are_isomorphic(winners[0], qn)
-        assert posets.are_isomorphic(posets.q_from_gamma(gamma), qn)
+        _check(posets.are_isomorphic(winners[0], qn))
+        _check(posets.are_isomorphic(posets.q_from_gamma(gamma), qn))
     for n in range(11):
         qn = posets.q_from_commuting_word(n)
         members = classes.class_of(words.identity(n)).members
-        assert set(qn.linear_extensions(max_size=12)) == set(members), n
+        _check(set(qn.linear_extensions(max_size=12)) == set(members), n)
         descents = sorted(tuple(sorted(words.descent_set(w))) for w in members)
         sparse = sorted(tuple(sorted(s)) for s in words.sparse_subsets(n))
-        assert descents == sparse, n
+        _check(descents == sparse, n)
     return "max e(Q) = F(n+1) uniquely at the alternating poset, n <= 8"
 
 
@@ -260,10 +272,10 @@ def check_stretch_proliferation() -> str:
             for mask in range(1 << n):
                 s = frozenset(b + 1 for b in range(n) if mask >> b & 1)
                 sign, image = _stretch_image(s, i)
-                assert stretched.beta(s) == sign * base.beta(image), (s, i)
+                _check(stretched.beta(s) == sign * base.beta(image), (s, i))
                 want = (lower.beta({j for j in s if j <= i})
                         * upper.beta({j - i for j in s if j > i}))
-                assert prolif.beta(s) == want, (s, i)
+                _check(prolif.beta(s) == want, (s, i))
                 checks += 1
     return f"{checks} rank-set identities on 50 random posets"
 
@@ -289,10 +301,12 @@ SUITES = {name: func for _, name, func in CRITERIA}
 
 
 def run_suite(name: str) -> tuple[bool, str, float]:
+    """Run one suite; any SalientError it raises is reported as a failure
+    of that suite, with the error text as the message."""
     func = SUITES[name]
     start = time.perf_counter()
     try:
         message = func()
         return True, message, time.perf_counter() - start
-    except AssertionError as exc:
+    except SalientError as exc:
         return False, str(exc), time.perf_counter() - start

@@ -6,12 +6,25 @@ floats. Multivariate series carry per-variable exponent caps; arithmetic
 discards over-cap terms, and every surviving coefficient equals the
 coefficient of the untruncated result (componentwise-bounded exponents can
 only be produced by componentwise-bounded factors).
+
+Series are inverted coefficient by coefficient, by a triangular recurrence
+over the exponents in lexicographic order (see TruncatedSeries.inverse). That
+one inverse serves cf_series, multiset_count_cf, expand_rational in one or
+more variables, and so mfenum.u_bivariate. For the commutation series
+1/(1 - sum x_i + sum x_i x_{i+1}), the Cartier-Foata clique series of a trace
+monoid, the recurrence reads
+
+    c(e) = sum_i c(e - e_i) - sum_i c(e - e_i - e_{i+1}),  c(0) = 1.
+
+g_umbral_series solves 1/(1 - F) in x by the same recurrence, with
+polynomials in t as coefficients.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterator
 
 from salient.errors import DomainError, GuardExceeded, InternalConsistencyError
@@ -27,6 +40,18 @@ def _norm(value):
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     return value
+
+
+def _exponent_box(caps, total_cap=None) -> list[tuple[int, ...]]:
+    """Exponent vectors under the caps, and of total degree at most
+    total_cap when it is given, in lexicographic order."""
+    box = [((), 0)]
+    for cap in caps:
+        box = [(prefix + (k,), degree + k)
+               for prefix, degree in box
+               for k in range(cap + 1 if total_cap is None
+                              else min(cap, total_cap - degree) + 1)]
+    return [exps for exps, _ in box]
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +198,32 @@ class TruncatedSeries:
         return result
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse, by geometric iteration up to the caps."""
+        """Multiplicative inverse, one coefficient at a time.
+
+        Visits the exponent box in lexicographic order, so every e - d with
+        d != 0 comes before e, and solves self * inv = 1 coefficientwise:
+        inv[e] = (delta(e, 0) - sum_{d != 0} self[d] * inv[e - d]) / self[0].
+        That costs |box| * |support| multiplications.
+        """
         zero = (0,) * len(self.variables)
         c0 = self.coeffs.get(zero, 0)
         if not c0:
             raise DomainError("cannot invert a series with zero constant term")
-        # self = c0 * (1 - u) with u supported on positive total degrees
-        u = TruncatedSeries(
-            self.variables, self.caps,
-            {e: -Fraction(v, 1) / c0 for e, v in self.coeffs.items() if e != zero},
-            total_cap=self.total_cap)
-        one = TruncatedSeries.constant(1, self.variables, self.caps,
-                                       total_cap=self.total_cap)
-        rounds = sum(self.caps) if self.total_cap is None else self.total_cap
-        acc = one
-        for _ in range(rounds):
-            acc = one + u * acc
-        if c0 == 1:
-            return acc
-        return acc * _norm(Fraction(1, 1) / c0)
+        support = [(d, v) for d, v in self.coeffs.items() if d != zero]
+        inv: dict[tuple[int, ...], object] = {}
+        for e in _exponent_box(self.caps, self.total_cap):
+            acc = 1 if e == zero else 0
+            for d, v in support:
+                # a key with a negative entry is never in inv
+                prev = inv.get(tuple(map(sub, e, d)))
+                if prev:
+                    acc -= v * prev
+            if c0 != 1:
+                acc = _norm(Fraction(acc) / c0)
+            if acc:
+                inv[e] = acc
+        return TruncatedSeries(self.variables, self.caps, inv,
+                               total_cap=self.total_cap)
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
@@ -217,35 +249,26 @@ def expand_rational(numerator, denominator, caps, variables=("x", "y")):
     Univariate: numerator and denominator are coefficient sequences and caps
     is the order N; returns the list of coefficients of x^0..x^N. Multivariate:
     numerator and denominator are dicts mapping exponent vectors to
-    coefficients and caps is a tuple; returns a TruncatedSeries.
+    coefficients and caps is a tuple; returns a TruncatedSeries. Both go
+    through TruncatedSeries.inverse.
 
     The denominator needs a nonzero constant term.
     """
     if isinstance(caps, int):
-        return _expand_rational_univariate(list(numerator), list(denominator), caps)
+        if caps < 0:
+            raise DomainError("order must be >= 0")
+        denominator = list(denominator)
+        if not denominator or denominator[0] == 0:
+            raise DomainError("denominator needs a nonzero constant term")
+        series = expand_rational(
+            {(i,): v for i, v in enumerate(numerator)},
+            {(i,): v for i, v in enumerate(denominator)},
+            (caps,), variables)
+        return [series.coefficient((i,)) for i in range(caps + 1)]
     variables = tuple(variables)[: len(tuple(caps))]
     den = TruncatedSeries(variables, caps, dict(denominator))
     num = TruncatedSeries(variables, caps, dict(numerator))
     return num * den.inverse()
-
-
-def _expand_rational_univariate(num, den, order):
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    while den and den[-1] == 0:
-        den.pop()
-    if not den or den[0] == 0:
-        raise DomainError("denominator needs a nonzero constant term")
-    d0 = den[0]
-    work = num + [0] * (order + 1 + len(den) - len(num))
-    out = []
-    for i in range(order + 1):
-        c = _norm(Fraction(work[i], 1) / d0) if d0 != 1 else work[i]
-        out.append(c)
-        if c:
-            for j in range(1, len(den)):
-                work[i + j] -= c * den[j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +545,8 @@ def g_umbral_series(k: int, order: int,
     """Class counts for the multisets {1^k, ..., n^k}, n = 0..order.
 
     Builds F(x, t) from the connected level profiles, inverts 1 - F as a
-    series in x with polynomial coefficients, and applies the functional
+    series in x with polynomial coefficients in one pass of the recurrence
+    G_0 = 1, G_i = sum_{a=1..i} F_a G_{i-a}, and applies the functional
     t^m -> m! coefficientwise. Every resulting value must be a nonnegative
     integer; anything else means the pipeline is internally inconsistent and
     raises.
@@ -534,16 +558,13 @@ def g_umbral_series(k: int, order: int,
     if order > max_order:
         raise GuardExceeded(f"order {order} exceeds limit {max_order}")
     F = umbral_f_coefficients(k, order, max_profile=max_profile)
-    G = [TPoly.one()] + [TPoly.zero()] * order
-    for _ in range(order):
-        new = [TPoly.one()]
-        for i in range(1, order + 1):
-            acc = TPoly.zero()
-            for a in range(1, i + 1):
-                if not F[a].is_zero():
-                    acc = acc + F[a] * G[i - a]
-            new.append(acc)
-        G = new
+    G = [TPoly.one()]
+    for i in range(1, order + 1):
+        acc = TPoly.zero()
+        for a in range(1, i + 1):
+            if not F[a].is_zero():
+                acc = acc + F[a] * G[i - a]
+        G.append(acc)
     values = []
     for i, poly in enumerate(G):
         v = phi(poly)

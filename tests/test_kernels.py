@@ -1,4 +1,5 @@
 import random
+import types
 
 import pytest
 
@@ -98,3 +99,22 @@ def test_compiled_range_guard():
     down = tuple((1 << max(i - 1, 0)) - 1 for i in range(15))
     vec = _kernels.descent_vector(15, down)
     assert sum(vec) == 987
+
+
+def test_zeta_vector_routes_wrapping_sums_to_pure(monkeypatch):
+    # a stand-in for the compiled twin: int64 sums that wrap on overflow
+    calls = []
+
+    def int64_zeta_vector(vec, nbits):
+        calls.append(list(vec))
+        return [(v + 2**63) % 2**64 - 2**63
+                for v in _pykernels.zeta_vector(vec, nbits)]
+
+    monkeypatch.setattr(_kernels, "_impl",
+                        types.SimpleNamespace(zeta_vector=int64_zeta_vector))
+    assert _kernels.zeta_vector([2**62 - 1, 2**62 - 1], 1) == [
+        2**62 - 1, 2**63 - 2]
+    assert _kernels.zeta_vector([2**62, 2**62], 1) == [2**62, 2**63]
+    assert _kernels.zeta_vector([-2**62, -2**62 - 1], 1) == [
+        -2**62, -2**63 - 1]
+    assert calls == [[2**62 - 1, 2**62 - 1]]

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from salient.classes import multiset_class_partition
 from salient.errors import DomainError, GuardExceeded
@@ -39,6 +41,25 @@ def test_series_arithmetic_is_exact():
         unit = a + 1
         one = TruncatedSeries.constant(1, variables, caps)
         assert unit * unit.inverse() == one
+
+
+@st.composite
+def invertible_series(draw):
+    caps = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    total_cap = draw(st.none() | st.integers(0, sum(caps)))
+    exps = st.tuples(*(st.integers(0, c) for c in caps))
+    coeffs = draw(st.dictionaries(exps, st.integers(-5, 5), max_size=8))
+    coeffs[(0,) * len(caps)] = draw(st.sampled_from([1, -1, 2, -2, 3]))
+    return TruncatedSeries("xyz"[:len(caps)], caps, coeffs,
+                           total_cap=total_cap)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(invertible_series())
+def test_inverse_times_series_is_one(s):
+    one = TruncatedSeries.constant(1, s.variables, s.caps,
+                                   total_cap=s.total_cap)
+    assert s * s.inverse() == one
 
 
 def test_series_validation():
@@ -86,6 +107,17 @@ def test_multiset_count_cf_examples():
     assert multiset_count_cf(MultisetSpec.parse("")) == 1
     with pytest.raises(GuardExceeded):
         multiset_count_cf(MultisetSpec.parse("1:13,2:13"))
+
+
+def test_multiset_count_cf_matches_bfs():
+    # every multiset over the values 1..4 (gaps included) of total <= 7
+    for counts in itertools.product(range(8), repeat=4):
+        if sum(counts) > 7:
+            continue
+        spec = MultisetSpec.from_mapping(
+            {v + 1: r for v, r in enumerate(counts)})
+        assert multiset_count_cf(spec) == len(
+            multiset_class_partition(spec)), spec
 
 
 def test_f4_coefficient_examples():
@@ -184,6 +216,14 @@ def test_g_umbral_series():
     assert g_umbral_series(2, 0) == [1]
     with pytest.raises(GuardExceeded):
         g_umbral_series(1, 300)
+
+
+def test_g_umbral_series_matches_bfs():
+    for k in range(1, 9):
+        for n in range(1, 8 // k + 1):
+            spec = MultisetSpec.from_mapping({v: k for v in range(1, n + 1)})
+            assert g_umbral_series(k, n)[n] == len(
+                multiset_class_partition(spec)), (k, n)
 
 
 def test_umbral_f_truncation_for_pairs():
