@@ -198,30 +198,28 @@ def generate_mf_posets(by: str = "rank", bound: int = 8,
                        ) -> Iterator[GradedPoset]:
     """All bounded graded posets with at most two elements per rank, hence
     exactly the multiplicity-free ones, up to the bound on rank ("rank") or
-    element count ("elements"). Deduplicated up to isomorphism."""
-    seen: set[tuple] = set()
+    element count ("elements"), one per isomorphism class.
+
+    Each poset is assembled from one sequence of indecomposable blocks whose
+    levels (or elements) add up to the rank minus one (or the element count
+    minus two). A poset is the ordinal sum of its blocks in exactly one way,
+    so distinct sequences give non-isomorphic posets and nothing is
+    canonicalized here; tests/test_mfenum.py
+    (test_generated_mf_posets_pairwise_non_isomorphic) asserts it.
+    """
     if by == "rank":
         if bound > max_rank:
             raise GuardExceeded(f"rank bound {bound} exceeds {max_rank}")
-        for rank in range(1, bound + 1):
-            for frags in _fragment_sequences(rank - 1, _blocks_with_levels):
-                poset = _assemble(frags)
-                key = poset.canonical_key()
-                if key not in seen:
-                    seen.add(key)
-                    yield poset
+        totals, blocks = range(bound), _blocks_with_levels
     elif by == "elements":
         if bound > max_elements:
             raise GuardExceeded(f"element bound {bound} exceeds {max_elements}")
-        for k in range(2, bound + 1):
-            for frags in _fragment_sequences(k - 2, _blocks_with_elements):
-                poset = _assemble(frags)
-                key = poset.canonical_key()
-                if key not in seen:
-                    seen.add(key)
-                    yield poset
+        totals, blocks = range(bound - 1), _blocks_with_elements
     else:
         raise DomainError(f"unknown enumeration mode {by!r}")
+    for total in totals:
+        for frags in _fragment_sequences(total, blocks):
+            yield _assemble(frags)
 
 
 def mf_counts_by_rank(max_rank_bound: int, **kwargs) -> list[int]:

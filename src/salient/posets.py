@@ -527,6 +527,18 @@ class GradedPoset:
 # natural posets on [n]
 # ---------------------------------------------------------------------------
 
+def _order_ideals(down, cap: int | None = None) -> list[int]:
+    """Order ideals of a natural poset given by its down-set masks, in build
+    order: element i joins every ideal listed so far that holds its down-set."""
+    ideals = [0]
+    for i, di in enumerate(down):
+        bit = 1 << i
+        ideals += [m | bit for m in ideals if not di & ~m]
+        if cap is not None and len(ideals) > cap:
+            raise GuardExceeded(f"more than {cap} order ideals")
+    return ideals
+
+
 @dataclass(frozen=True)
 class NaturalPoset:
     """Partial order on labels 1..n refining the integer order."""
@@ -599,13 +611,7 @@ class NaturalPoset:
 
     def ideal_masks(self, cap: int | None = None) -> list[int]:
         """All order ideals as bitmasks, sorted by (size, mask)."""
-        ideals = [0]
-        for i in range(self.n):
-            bit = 1 << i
-            di = self.down[i]
-            ideals += [m | bit for m in ideals if not di & ~m]
-            if cap is not None and len(ideals) > cap:
-                raise GuardExceeded(f"more than {cap} order ideals")
+        ideals = _order_ideals(self.down, cap)
         ideals.sort(key=lambda m: (bin(m).count("1"), m))
         return ideals
 
@@ -872,16 +878,8 @@ def q_from_gamma(gamma: str) -> NaturalPoset:
 def _natural_down_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ((),)
-    out = []
-    for downs in _natural_down_tuples(n - 1):
-        ideals = [0]
-        for i in range(n - 1):
-            bit = 1 << i
-            di = downs[i]
-            ideals += [m | bit for m in ideals if not di & ~m]
-        for d in ideals:
-            out.append(downs + (d,))
-    return tuple(out)
+    return tuple(downs + (d,) for downs in _natural_down_tuples(n - 1)
+                 for d in _order_ideals(downs))
 
 
 def all_natural_posets(n: int,
@@ -897,15 +895,35 @@ def all_posets_up_to_iso(n: int,
                          max_n: int = DEFAULT_NATURAL_SWEEP
                          ) -> list[NaturalPoset]:
     """One representative of every isomorphism class of n-element posets
-    (A000112: 1, 1, 2, 5, 16, 63, 318, 2045, ...)."""
-    seen = set()
-    out = []
-    for poset in all_natural_posets(n, max_n=max_n):
-        key = poset.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(poset)
-    return out
+    (A000112: 1, 1, 2, 5, 16, 63, 318, 2045, 16999, ...).
+
+    Grown from the empty poset one maximal element at a time: each class
+    representative of size s - 1 gets a new element s over each of its order
+    ideals in turn, and a child is kept when its canonical key is new. Every
+    class is reached, since removing a maximal element leaves a smaller
+    poset. The representatives are the first members of their classes in the
+    order of all_natural_posets (a class's first member extends the first
+    member of its prefix's class); tests/test_posets.py
+    (test_iso_sweep_matches_canonicalize_and_discard) checks that against
+    canonicalize-and-discard over all_natural_posets.
+    """
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    if n > max_n:
+        raise GuardExceeded(f"isomorphism-class sweep limited to n <= {max_n}")
+    reps = [NaturalPoset(0, ())]
+    for size in range(1, n + 1):
+        seen: set[tuple] = set()
+        grown = []
+        for rep in reps:
+            for d in _order_ideals(rep.down):
+                child = NaturalPoset(size, rep.down + (d,))
+                key = child.canonical_key()
+                if key not in seen:
+                    seen.add(key)
+                    grown.append(child)
+        reps = grown
+    return reps
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,8 @@
+import hashlib
 import random
+import re
 import types
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,11 @@ except ImportError:
 
 needs_compiled = pytest.mark.skipif(_ckernels is None,
                                     reason="compiled kernels not built")
+
+PACKAGE = Path(_pykernels.__file__).parent
+# sha256 of the _ckernels.pyx that the shipped _ckernels.c was generated from
+CKERNELS_PYX_SHA256 = (
+    "11caa48ac658ee6bb336a8683fd142b0060b67ac70bd321d49bd99137f95c9a6")
 
 
 def test_backend_selected():
@@ -118,3 +126,25 @@ def test_zeta_vector_routes_wrapping_sums_to_pure(monkeypatch):
     assert _kernels.zeta_vector([-2**62, -2**62 - 1], 1) == [
         -2**62, -2**63 - 1]
     assert calls == [[2**62 - 1, 2**62 - 1]]
+
+
+def test_shipped_c_twin_pinned_to_pyx():
+    digest = hashlib.sha256(
+        (PACKAGE / "_ckernels.pyx").read_bytes()).hexdigest()
+    assert digest == CKERNELS_PYX_SHA256, (
+        "_ckernels.pyx changed since _ckernels.c was generated: regenerate "
+        "the .c with Cython (setup.py build_ext --inplace with Cython "
+        "installed) and record the new hash in CKERNELS_PYX_SHA256")
+
+
+def test_shipped_c_twin_quotes_pyx_lines():
+    # Cython quotes each source line it compiles as
+    #   /* "salient/_ckernels.pyx":N ... * <line N>  # <<<<<<<<<<<<<<
+    pyx = (PACKAGE / "_ckernels.pyx").read_text().splitlines()
+    c_source = (PACKAGE / "_ckernels.c").read_text()
+    quoted = re.findall(
+        r'/\* "salient/_ckernels\.pyx":(\d+)\n(?: \*.*\n)*?'
+        r' \* (.*?) +# <{14}\n', c_source)
+    assert len(quoted) > 100
+    for number, line in quoted:
+        assert line.strip() == pyx[int(number) - 1].strip(), number

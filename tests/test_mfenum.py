@@ -60,6 +60,14 @@ def test_mf_counts_small():
         list(generate_mf_posets("rank", 99))
 
 
+def test_generated_mf_posets_pairwise_non_isomorphic():
+    # the generator never canonicalizes: uniqueness of the block
+    # decomposition is what keeps its output free of isomorphic repeats
+    for by, bound, count in (("rank", 8, 5967), ("elements", 10, 222)):
+        keys = {p.canonical_key() for p in generate_mf_posets(by, bound)}
+        assert len(keys) == count
+
+
 def test_six_element_count():
     assert mf_counts_by_elements(6)[-1] == 7
 

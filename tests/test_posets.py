@@ -5,12 +5,14 @@ import random
 import pytest
 
 from salient import _kernels
+from salient.acceptance import DISTLAT_COUNTS
 from salient.errors import DomainError, GuardExceeded
 from salient.posets import (GradedPoset, NaturalPoset, all_bounded_graded_posets,
                             all_natural_posets, all_posets_up_to_iso,
                             are_isomorphic, check_gamma, gamma_words,
                             lattice_from_gamma, q_from_commuting_word,
                             q_from_gamma, random_graded_poset)
+from salient.mfenum import count_distributive_mf
 from salient.words import descent_set, fibonacci, format_word, is_sparse
 
 
@@ -331,6 +333,42 @@ def test_natural_poset_counts():
         1, 1, 2, 5, 16, 63, 318]
     with pytest.raises(GuardExceeded):
         all_natural_posets(8)
+
+
+def _first_of_each_class(candidates):
+    """Canonicalize-and-discard: the down tuples of the first candidate of
+    each isomorphism class, in candidate order."""
+    seen = set()
+    out = []
+    for q in candidates:
+        key = q.canonical_key()
+        if key not in seen:
+            seen.add(key)
+            out.append(q.down)
+    return out
+
+
+def test_iso_sweep_matches_canonicalize_and_discard():
+    for n in range(7):
+        assert ([q.down for q in all_posets_up_to_iso(n)]
+                == _first_of_each_class(all_natural_posets(n)))
+
+
+def test_iso_sweep_guards():
+    with pytest.raises(GuardExceeded):
+        all_posets_up_to_iso(8)
+    with pytest.raises(GuardExceeded):
+        all_posets_up_to_iso(5, max_n=4)
+    with pytest.raises(DomainError):
+        all_posets_up_to_iso(-1)
+
+
+def test_iso_sweep_n8_and_distributive_count():
+    reps = all_posets_up_to_iso(8, max_n=8)
+    assert len(reps) == 16999  # A000112
+    two_ideals = sum(all(c <= 2 for c in q.ideal_size_profile())
+                     for q in reps)
+    assert two_ideals == DISTLAT_COUNTS[7] == count_distributive_mf(8) == 289
 
 
 def test_bounded_graded_sweep_small():
