@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 import json
 
-from salient import _kernels
+from salient import _kernels, _pykernels
 from salient.errors import (DomainError, GuardExceeded,
                             InternalConsistencyError)
 from salient.words import Word
@@ -296,47 +296,17 @@ class GradedPoset:
         if self._alpha is not None:
             return self._alpha
         self._require_bounded()
-        n = self.rank
-        if n <= 1:
-            alpha = [1]
-        else:
-            layers = self.layers()
-            above = self.above_masks()
-            alpha = [0] * (1 << (n - 1))
-            alpha[0] = 1
-
-            def extend(last: int, vec: list[int], smask: int) -> None:
-                for r in range(last + 1, n):
-                    prev = layers[last]
-                    nvec = []
-                    for e in layers[r]:
-                        tot = 0
-                        for k, p in enumerate(prev):
-                            if above[p] >> e & 1:
-                                tot += vec[k]
-                        nvec.append(tot)
-                    m2 = smask | (1 << (r - 1))
-                    alpha[m2] = sum(nvec)
-                    extend(r, nvec, m2)
-
-            for r in range(1, n):
-                vec = [1] * len(layers[r])
-                alpha[1 << (r - 1)] = len(layers[r])
-                extend(r, vec, 1 << (r - 1))
+        below = self.below_masks()
+        alpha = _pykernels.chain_counts(
+            [[below[e] | 1 << e for e in layer] for layer in self.layers()])
         object.__setattr__(self, "_alpha", alpha)
         return alpha
 
     def flag_beta_vector(self) -> list[int]:
         if self._beta is not None:
             return self._beta
-        alpha = self.flag_alpha_vector()
-        beta = alpha.copy()
-        nbits = max(self.rank - 1, 0)
-        for b in range(nbits):
-            bit = 1 << b
-            for s in range(len(beta)):
-                if s & bit:
-                    beta[s] -= beta[s ^ bit]
+        beta = _pykernels.moebius_vector(self.flag_alpha_vector(),
+                                         max(self.rank - 1, 0))
         object.__setattr__(self, "_beta", beta)
         return beta
 
@@ -527,18 +497,6 @@ class GradedPoset:
 # natural posets on [n]
 # ---------------------------------------------------------------------------
 
-def _order_ideals(down, cap: int | None = None) -> list[int]:
-    """Order ideals of a natural poset given by its down-set masks, in build
-    order: element i joins every ideal listed so far that holds its down-set."""
-    ideals = [0]
-    for i, di in enumerate(down):
-        bit = 1 << i
-        ideals += [m | bit for m in ideals if not di & ~m]
-        if cap is not None and len(ideals) > cap:
-            raise GuardExceeded(f"more than {cap} order ideals")
-    return ideals
-
-
 @dataclass(frozen=True)
 class NaturalPoset:
     """Partial order on labels 1..n refining the integer order."""
@@ -611,7 +569,7 @@ class NaturalPoset:
 
     def ideal_masks(self, cap: int | None = None) -> list[int]:
         """All order ideals as bitmasks, sorted by (size, mask)."""
-        ideals = _order_ideals(self.down, cap)
+        ideals = _pykernels.order_ideals(self.down, cap)
         ideals.sort(key=lambda m: (bin(m).count("1"), m))
         return ideals
 
@@ -879,13 +837,15 @@ def _natural_down_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ((),)
     return tuple(downs + (d,) for downs in _natural_down_tuples(n - 1)
-                 for d in _order_ideals(downs))
+                 for d in _pykernels.order_ideals(downs))
 
 
 def all_natural_posets(n: int,
                        max_n: int = DEFAULT_NATURAL_SWEEP) -> list[NaturalPoset]:
     """Every natural partial order of [n] (A006455: 1, 1, 2, 7, 40, 357,
     4824, 96428, ...). Cached; guarded because the counts explode."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
     if n > max_n:
         raise GuardExceeded(f"natural-poset sweep limited to n <= {max_n}")
     return [NaturalPoset(n, downs) for downs in _natural_down_tuples(n)]
@@ -916,7 +876,7 @@ def all_posets_up_to_iso(n: int,
         seen: set[tuple] = set()
         grown = []
         for rep in reps:
-            for d in _order_ideals(rep.down):
+            for d in _pykernels.order_ideals(rep.down):
                 child = NaturalPoset(size, rep.down + (d,))
                 key = child.canonical_key()
                 if key not in seen:

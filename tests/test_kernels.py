@@ -72,6 +72,7 @@ def test_zeta_inverts_moebius():
                 if s & bit:
                     recovered[s] -= recovered[s ^ bit]
         assert recovered == vec
+        assert _pykernels.moebius_vector(transformed, nbits) == vec
 
 
 @needs_compiled

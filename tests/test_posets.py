@@ -66,6 +66,33 @@ def test_multiplicity_free_examples():
     assert lattice_from_gamma("01001").is_multiplicity_free()
 
 
+def _brute_force_alpha(poset):
+    """alpha[S] as the number of tuples, one element per rank in S, that
+    form a chain under leq."""
+    layers = poset.layers()
+    alpha = []
+    for mask in range(1 << max(poset.rank - 1, 0)):
+        picked = [layers[r] for r in range(1, poset.rank)
+                  if mask >> (r - 1) & 1]
+        alpha.append(sum(
+            all(poset.leq(a, b) for a, b in zip(pick, pick[1:]))
+            for pick in itertools.product(*picked)))
+    return alpha
+
+
+def test_flag_alpha_vector_against_brute_force_chains():
+    rng = random.Random(11)
+    posets = [GradedPoset.boolean_lattice(k) for k in range(1, 5)]
+    posets += [lattice_from_gamma(g)
+               for rank in range(1, 8) for g in gamma_words(rank)]
+    posets += [random_graded_poset(rng) for _ in range(200)]
+    posets += [q.ideals_lattice()
+               for n in range(6) for q in all_natural_posets(n)]
+    assert len(posets) == 645
+    for poset in posets:
+        assert poset.flag_alpha_vector() == _brute_force_alpha(poset)
+
+
 def test_moebius_inversion_round_trip():
     for poset in (GradedPoset.boolean_lattice(3), lattice_from_gamma("0101"),
                   q_from_commuting_word(5).ideals_lattice()):
@@ -333,6 +360,8 @@ def test_natural_poset_counts():
         1, 1, 2, 5, 16, 63, 318]
     with pytest.raises(GuardExceeded):
         all_natural_posets(8)
+    with pytest.raises(DomainError):
+        all_natural_posets(-1)
 
 
 def _first_of_each_class(candidates):
