@@ -125,8 +125,11 @@ def check_f4_closed_form() -> str:
         _check(series.f4_coefficient(*exps) == full.coefficient(exps), exps)
         checked += 1
     base = series.cf_series(4, (6, 6, 6, 6), max_total=24, total_cap=6)
+    powered = series.TruncatedSeries.constant(1, base.variables, base.caps,
+                                              total_cap=base.total_cap)
     for t in range(4):
-        powered = base ** t
+        if t:
+            powered = powered * base
         for exps in itertools.product(range(7), repeat=4):
             if sum(exps) > 6:
                 continue

@@ -213,9 +213,9 @@ def segment_decomposition(word) -> SegmentDecomposition:
 def class_size(word) -> int:
     """Size of the word's class as a product of Fibonacci numbers.
 
-    Each segment of length m contributes a factor F(m+1); no orbit is
-    materialized beyond the segment search, so this scales far past the
-    breadth-first guard.
+    Each segment of length m contributes a factor F(m+1). The segment search
+    runs class_of on the whole word first, so this materializes the class
+    and is bound by the same member cap as class_of.
     """
     decomposition = segment_decomposition(word)
     out = 1

@@ -152,7 +152,7 @@ def canonical_relation_key(n: int, below, init_colors=None) -> tuple:
 class GradedPoset:
     """Finite graded poset: ranked elements plus rank-increasing covers."""
 
-    __slots__ = ("ranks", "covers", "labels", "_above", "_alpha", "_beta")
+    __slots__ = ("ranks", "covers", "labels", "_below", "_alpha", "_beta")
 
     def __init__(self, ranks, covers, labels=None):
         ranks = tuple(ranks)
@@ -176,7 +176,7 @@ class GradedPoset:
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "covers", covers)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_above", None)
+        object.__setattr__(self, "_below", None)
         object.__setattr__(self, "_alpha", None)
         object.__setattr__(self, "_beta", None)
 
@@ -214,29 +214,22 @@ class GradedPoset:
             out[hi].append(lo)
         return out
 
-    def above_masks(self) -> list[int]:
-        """above_masks()[e] has a bit for every element strictly above e."""
-        if self._above is None:
-            up = self.up_covers()
-            above = [0] * self.size
-            order = sorted(range(self.size), key=lambda e: -self.ranks[e])
-            for e in order:
-                m = 0
-                for u in up[e]:
-                    m |= (1 << u) | above[u]
-                above[e] = m
-            object.__setattr__(self, "_above", above)
-        return self._above
-
     def below_masks(self) -> list[int]:
-        below = [0] * self.size
-        for i, m in enumerate(self.above_masks()):
-            for j in _iter_bits(m):
-                below[j] |= 1 << i
-        return below
+        """below_masks()[e] has a bit for every element strictly below e.
+
+        Built once, from the bottom layer up, and cached; callers must not
+        modify the list."""
+        if self._below is None:
+            down = self.down_covers()
+            below = [0] * self.size
+            for e in sorted(range(self.size), key=self.ranks.__getitem__):
+                for d in down[e]:
+                    below[e] |= 1 << d | below[d]
+            object.__setattr__(self, "_below", below)
+        return self._below
 
     def leq(self, a: int, b: int) -> bool:
-        return a == b or bool(self.above_masks()[a] >> b & 1)
+        return a == b or bool(self.below_masks()[b] >> a & 1)
 
     # -- boundedness
 
@@ -246,7 +239,7 @@ class GradedPoset:
         if len(zeros) != 1:
             return None
         e = zeros[0]
-        if bin(self.above_masks()[e]).count("1") == self.size - 1:
+        if sum(m >> e & 1 for m in self.below_masks()) == self.size - 1:
             return e
         return None
 
@@ -257,8 +250,7 @@ class GradedPoset:
         if len(tops) != 1:
             return None
         e = tops[0]
-        below = sum(1 for m in self.above_masks() if m >> e & 1)
-        if below == self.size - 1:
+        if bin(self.below_masks()[e]).count("1") == self.size - 1:
             return e
         return None
 
@@ -271,18 +263,12 @@ class GradedPoset:
         return self.top is not None
 
     def is_bounded_graded(self) -> bool:
-        """Bottom, top, and every maximal chain running between them."""
-        if self.size == 0 or not self.has_bottom or not self.has_top:
-            return False
-        up = self.up_covers()
-        down = self.down_covers()
-        n = self.rank
-        for e in range(self.size):
-            if self.ranks[e] < n and not up[e]:
-                return False
-            if self.ranks[e] > 0 and not down[e]:
-                return False
-        return True
+        """Bottom, top, and every maximal chain running between them.
+
+        The unique bottom and top suffice: every element lies between them,
+        and covers raise rank by one, so every element below the top rank
+        has an up-cover and every element above rank 0 a down-cover."""
+        return self.size > 0 and self.has_bottom and self.has_top
 
     def _require_bounded(self) -> None:
         if not self.is_bounded_graded():
@@ -337,42 +323,28 @@ class GradedPoset:
     def stretch(self, i: int) -> "GradedPoset":
         """Insert a copy of rank-i layer just above it, each copy over its
         original only; covers out of rank i move to the copies."""
-        self._require_bounded()
-        n = self.rank
-        if not 1 <= i <= n - 1:
-            raise DomainError(f"stretch rank {i} outside [1, {n - 1}]")
-        layer = [e for e in range(self.size) if self.ranks[e] == i]
-        copy_of = {t: self.size + idx for idx, t in enumerate(layer)}
-        ranks = [r if r <= i else r + 1 for r in self.ranks]
-        ranks += [i + 1] * len(layer)
-        covers = []
-        for lo, hi in self.covers:
-            if self.ranks[lo] == i:
-                covers.append((copy_of[lo], hi))
-            else:
-                covers.append((lo, hi))
-        covers += [(t, copy_of[t]) for t in layer]
-        labels = list(self.labels) + [f"{self.labels[t]}'" for t in layer]
-        return GradedPoset(ranks, covers, labels)
+        return self._copy_layer(i, "stretch", lambda s, t: s == t)
 
     def proliferate(self, i: int) -> "GradedPoset":
         """Insert a copy of rank-i layer with complete bipartite covers from
         the originals; the result is the ordinal sum of the two sections."""
+        return self._copy_layer(i, "proliferate", lambda s, t: True)
+
+    def _copy_layer(self, i: int, name: str, joined) -> "GradedPoset":
+        """Insert a primed copy of rank-i layer just above it. Covers out of
+        rank i move to the copies; original s is covered by the copy of t
+        exactly when joined(s, t)."""
         self._require_bounded()
         n = self.rank
         if not 1 <= i <= n - 1:
-            raise DomainError(f"proliferate rank {i} outside [1, {n - 1}]")
+            raise DomainError(f"{name} rank {i} outside [1, {n - 1}]")
         layer = [e for e in range(self.size) if self.ranks[e] == i]
         copy_of = {t: self.size + idx for idx, t in enumerate(layer)}
         ranks = [r if r <= i else r + 1 for r in self.ranks]
         ranks += [i + 1] * len(layer)
-        covers = []
-        for lo, hi in self.covers:
-            if self.ranks[lo] == i:
-                covers.append((copy_of[lo], hi))
-            else:
-                covers.append((lo, hi))
-        covers += [(s, copy_of[t]) for s in layer for t in layer]
+        covers = [(copy_of.get(lo, lo), hi) for lo, hi in self.covers]
+        covers += [(s, copy_of[t]) for s in layer for t in layer
+                   if joined(s, t)]
         labels = list(self.labels) + [f"{self.labels[t]}'" for t in layer]
         return GradedPoset(ranks, covers, labels)
 
@@ -819,11 +791,11 @@ def q_from_gamma(gamma: str) -> NaturalPoset:
         raise InternalConsistencyError(
             "join-irreducible count differs from the lattice rank")
     irreducibles.sort(key=lambda e: (lattice.ranks[e], e))
-    above = lattice.above_masks()
+    below = lattice.below_masks()
     pairs = []
     for ia, a in enumerate(irreducibles):
         for ib, b in enumerate(irreducibles):
-            if above[a] >> b & 1:
+            if below[b] >> a & 1:
                 pairs.append((ia + 1, ib + 1))
     return NaturalPoset.from_relations(len(irreducibles), pairs)
 
@@ -886,90 +858,42 @@ def all_posets_up_to_iso(n: int,
     return reps
 
 
-@lru_cache(maxsize=None)
-def _bipartite_cover_patterns(a: int, b: int) -> tuple[tuple[int, ...], ...]:
-    """All cover patterns between layers of sizes a (lower) and b (upper):
-    per lower element a nonempty mask of upper neighbours, with every upper
-    element covered. These are exactly the graded cover relations."""
-    full = (1 << b) - 1
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, acc: list[int], covered: int) -> None:
-        if i == a:
-            if covered == full:
-                out.append(tuple(acc))
-            return
-        for mask in range(1, full + 1):
-            acc.append(mask)
-            rec(i + 1, acc, covered | mask)
-            acc.pop()
-
-    rec(0, [], 0)
-    return tuple(out)
-
-
-def _interior_profiles(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _interior_profiles(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def all_bounded_graded_posets(max_rank: int, max_size: int,
                               guard_rank: int = 5,
                               guard_size: int = 10) -> list[GradedPoset]:
     """Every bounded graded poset with rank <= max_rank and at most max_size
     elements, one representative per isomorphism class.
 
-    Exhaustive: layer size profiles, then all cover patterns between
-    consecutive layers, then canonical-form rejection.
+    Filtered from the isomorphism-class sweep. A bounded graded poset is a
+    bottom and a top adjoined to an interior whose maximal chains all have
+    the same number h of elements, and its rank is h + 1 (the empty interior
+    gives the 2-chain). So each class of all_posets_up_to_iso(n), for
+    n = 0..max_size - 2, is kept when its covers raise height by exactly one
+    and its maximal elements all have height h - 1; it becomes element 0
+    (bottom), label v as element v, and n + 1 (top). No two interiors are
+    isomorphic, so neither are the results. The list is ordered by size and
+    then by the order of the sweep.
     """
     if max_rank > guard_rank or max_size > guard_size:
         raise GuardExceeded(
             f"exhaustive graded sweep limited to rank {guard_rank} "
             f"and {guard_size} elements")
-    seen: set[tuple] = set()
     out: list[GradedPoset] = []
-    for rank in range(1, max_rank + 1):
-        interior = rank - 1
-        budget = max_size - 2
-        if interior > budget:
-            continue
-        for total in range(interior, budget + 1):
-            for sizes in _interior_profiles(total, interior):
-                all_sizes = (1,) + sizes + (1,)
-                choices = [_bipartite_cover_patterns(all_sizes[r],
-                                                     all_sizes[r + 1])
-                           for r in range(rank)]
-
-                def build(r: int, picked: list) -> None:
-                    if r == rank:
-                        ranks = []
-                        offsets = []
-                        for level, s in enumerate(all_sizes):
-                            offsets.append(len(ranks))
-                            ranks.extend([level] * s)
-                        covers = []
-                        for level, pattern in enumerate(picked):
-                            base_lo = offsets[level]
-                            base_hi = offsets[level + 1]
-                            for lo, mask in enumerate(pattern):
-                                for hi in _iter_bits(mask):
-                                    covers.append((base_lo + lo,
-                                                   base_hi + hi))
-                        poset = GradedPoset(ranks, covers)
-                        key = poset.canonical_key()
-                        if key not in seen:
-                            seen.add(key)
-                            out.append(poset)
-                        return
-                    for pattern in choices[r]:
-                        build(r + 1, picked + [pattern])
-
-                build(0, [])
+    for n in range(max_size - 1):
+        for interior in all_posets_up_to_iso(n, max_n=guard_size - 2):
+            heights = _heights(n, interior.down)
+            h = max(heights, default=-1) + 1
+            up = interior.up()
+            maximal = [e for e in range(n) if not up[e]]
+            if h + 1 > max_rank or any(heights[e] != h - 1 for e in maximal):
+                continue
+            covers = interior.cover_pairs()
+            if any(heights[b - 1] != heights[a - 1] + 1 for a, b in covers):
+                continue
+            covers += [(0, e + 1) for e in range(n) if not interior.down[e]]
+            covers += [(e + 1, n + 1) for e in maximal] if n else [(0, 1)]
+            ranks = [0] + [x + 1 for x in heights] + [h + 1]
+            out.append(GradedPoset(ranks, covers))
     return out
 
 

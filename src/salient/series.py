@@ -183,20 +183,6 @@ class TruncatedSeries:
             {e: v * value for e, v in self.coeffs.items()},
             total_cap=self.total_cap)
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise DomainError("series powers must be nonnegative integers")
-        result = TruncatedSeries.constant(1, self.variables, self.caps,
-                                          total_cap=self.total_cap)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse, one coefficient at a time.
 

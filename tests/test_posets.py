@@ -400,6 +400,15 @@ def test_iso_sweep_n8_and_distributive_count():
     assert two_ideals == DISTLAT_COUNTS[7] == count_distributive_mf(8) == 289
 
 
+# (rank, size) -> isomorphism classes of bounded graded posets, as counted by
+# canonicalize-and-discard over every layer profile and cover pattern
+GRADED_COUNTS_4_9 = {
+    (1, 2): 1, **{(2, s): 1 for s in range(3, 10)},
+    (3, 4): 1, (3, 5): 2, (3, 6): 5, (3, 7): 12, (3, 8): 35, (3, 9): 108,
+    (4, 5): 1, (4, 6): 3, (4, 7): 10, (4, 8): 35, (4, 9): 149,
+}
+
+
 def test_bounded_graded_sweep_small():
     swept = all_bounded_graded_posets(3, 7)
     assert all(p.is_bounded_graded() for p in swept)
@@ -410,8 +419,58 @@ def test_bounded_graded_sweep_small():
     assert by_rank[1] == 1 and by_rank[2] == 5
     keys = {p.canonical_key() for p in swept}
     assert len(keys) == len(swept)
+    swept = all_bounded_graded_posets(4, 9)
+    assert all(p.is_bounded_graded() for p in swept)
+    by_rank_size = {}
+    for p in swept:
+        key = (p.rank, p.size)
+        by_rank_size[key] = by_rank_size.get(key, 0) + 1
+    assert by_rank_size == GRADED_COUNTS_4_9
+    assert len({p.canonical_key() for p in swept}) == len(swept) == 369
     with pytest.raises(GuardExceeded):
         all_bounded_graded_posets(6, 10)
+
+
+def test_is_bounded_graded_against_cover_loops():
+    """Unique bottom and top imply the per-element cover conditions."""
+
+    def oracle(p):
+        up, down = p.up_covers(), p.down_covers()
+        reach = []
+        for e in range(p.size):
+            seen, stack = {e}, [e]
+            while stack:
+                for u in up[stack.pop()]:
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            reach.append(seen)
+        zeros = [e for e in range(p.size) if p.ranks[e] == 0]
+        tops = [e for e in range(p.size) if p.ranks[e] == p.rank]
+        if len(zeros) != 1 or len(tops) != 1:
+            return False
+        if len(reach[zeros[0]]) != p.size:
+            return False
+        if not all(tops[0] in r for r in reach):
+            return False
+        for e in range(p.size):
+            if p.ranks[e] < p.rank and not up[e]:
+                return False
+            if p.ranks[e] > 0 and not down[e]:
+                return False
+        return True
+
+    rng = random.Random(11)
+    bounded = 0
+    for _ in range(4000):
+        ranks = [rng.randint(0, 3) for _ in range(rng.randint(1, 8))]
+        covers = [(lo, hi) for lo in range(len(ranks))
+                  for hi in range(len(ranks))
+                  if ranks[hi] == ranks[lo] + 1 and rng.random() < 0.6]
+        p = GradedPoset(ranks, covers)
+        assert p.is_bounded_graded() == oracle(p), (ranks, covers)
+        bounded += oracle(p)
+    assert bounded > 100
 
 
 def test_random_graded_poset_is_bounded():
