@@ -1,11 +1,10 @@
 """Orbits of the interchange relations, canonical representatives, Fibonacci
 class sizes, and the class-counting formulas and series.
 
-Orbits are computed by breadth-first closure over the move relation with a
-visited set; member ordering is always lexicographic, independent of
-traversal order. The memory guard is twofold: an explicit member cap
-(default 10**7) and, when the SALIENT_LIMIT_MB environment variable is set,
-an approximate byte budget for the visited set.
+Orbits are listed by breadth-first closure over the move relation; member
+order is lexicographic. Sizes, minima and segments are read off the word's
+heap poset instead. The orbit memory guard is twofold: a member cap (default
+10**7) and, when SALIENT_LIMIT_MB is set, a byte budget for the visited set.
 """
 from __future__ import annotations
 
@@ -16,8 +15,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from salient import series
-from salient.errors import (DomainError, GuardExceeded, InternalConsistencyError,
-                            OrbitOverflowError)
+from salient.errors import DomainError, GuardExceeded, OrbitOverflowError
+from salient.posets import NaturalPoset
 from salient.words import (MultisetSpec, Word, check_permutation, check_word,
                            consecutive_moves, fibonacci, geq_j_moves,
                            _is_salient)
@@ -158,70 +157,75 @@ def multiset_class_partition(spec: MultisetSpec,
     return out
 
 
+def _heap(w: Word) -> NaturalPoset:
+    """Position j lies above each earlier i with |w_i - w_j| != 1, closed
+    transitively; equal letters are thus chained. Read as letters, the
+    linear extensions are exactly the class of w (Cartier-Foata; Viennot)."""
+    down: list[int] = []
+    for j, b in enumerate(w):
+        d = 0
+        for i in range(j):
+            if abs(w[i] - b) != 1:
+                d |= 1 << i | down[i]
+        down.append(d)
+    return NaturalPoset(len(w), tuple(down))
+
+
 def salient_representative(word) -> Word:
-    """The unique salient member of the word's class (its lexicographic
-    minimum)."""
-    w = check_permutation(word)
-    cls = class_of(w)
-    salient = [u for u in cls.members if _is_salient(u)]
-    if len(salient) != 1:
-        raise InternalConsistencyError(
-            f"class of {w} has {len(salient)} salient members")
-    return salient[0]
-
-
-def _leading_run_length(w: Word) -> int:
-    if len(w) < 2:
-        return len(w)
-    step = w[1] - w[0]
-    if step not in (1, -1):
-        return 1
-    length = 2
-    while length < len(w) and w[length] - w[length - 1] == step:
-        length += 1
-    return length
+    """Lexicographic minimum of the class (the salient member for a
+    permutation): place, again and again, the free heap position with the
+    smallest letter. Free positions are an antichain, whose letters differ
+    pairwise by exactly one, so at most two are free and they never tie."""
+    w = check_word(word)
+    down = _heap(w).down
+    placed = 0
+    out = []
+    for _ in w:
+        p = min((i for i in range(len(w))
+                 if not placed >> i & 1 and not down[i] & ~placed),
+                key=w.__getitem__)
+        placed |= 1 << p
+        out.append(w[p])
+    return tuple(out)
 
 
 def segment_decomposition(word) -> SegmentDecomposition:
-    """Split a permutation's class into maximal consecutive-run segments.
+    """Segments of a word with distinct letters: the heap's ordinal summands.
 
-    Works by locating, inside the class, the member whose leading run of
-    consecutive integers is longest, peeling that run off, and recursing on
-    the remainder. Runs of length two are normalized to increasing order
-    (the only ambiguity in the decomposition).
+    A cut falls before position k when every position from k on lies above
+    all earlier ones. A summand's letters are consecutive integers, written
+    increasing, or decreasing when there are three or more and the smallest
+    comes after the smallest plus two. tests/test_classes.py
+    (test_segments_are_maximal_against_bfs) checks this for n <= 8.
     """
     w = check_word(word)
     if len(set(w)) != len(w):
         raise DomainError("segment decomposition needs distinct letters")
+    down = _heap(w).down
     segments: list[Word] = []
-    rest = w
-    while rest:
-        best_len = 0
-        best_member = None
-        for u in class_of(rest).members:
-            run = _leading_run_length(u)
-            if run > best_len:
-                best_len, best_member = run, u
-        seg = best_member[:best_len]
-        if best_len == 2 and seg[0] > seg[1]:
-            seg = (seg[1], seg[0])
-        segments.append(seg)
-        rest = best_member[best_len:]
-    return SegmentDecomposition(tuple(segments))
+    stop, common = len(w), -1
+    for k in range(len(w) - 1, -1, -1):
+        common &= down[k]
+        if common & ((1 << k) - 1) == (1 << k) - 1:
+            part = w[k:stop]
+            seg = sorted(part)
+            if len(seg) >= 3 and part.index(seg[0]) > part.index(seg[0] + 2):
+                seg.reverse()
+            segments.append(tuple(seg))
+            stop = k
+    return SegmentDecomposition(tuple(reversed(segments)))
 
 
 def class_size(word) -> int:
-    """Size of the word's class as a product of Fibonacci numbers.
-
-    Each segment of length m contributes a factor F(m+1). The segment search
-    runs class_of on the whole word first, so this materializes the class
-    and is bound by the same member cap as class_of.
-    """
-    decomposition = segment_decomposition(word)
-    out = 1
-    for m in decomposition.lengths:
-        out *= fibonacci(m + 1)
-    return out
+    """Size of the word's class, without listing it: the product of F(m+1)
+    over segments of length m or, with a repeated letter, the heap's
+    linear-extension count (its antichains have at most two positions, so it
+    has O(len(w)^2) order ideals and needs no guard)."""
+    w = check_word(word)
+    if len(set(w)) != len(w):
+        return _heap(w).extension_count(max_size=len(w))
+    lengths = segment_decomposition(w).lengths
+    return math.prod(fibonacci(m + 1) for m in lengths)
 
 
 # ---------------------------------------------------------------------------

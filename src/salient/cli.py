@@ -23,12 +23,8 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _coeff_str(value) -> str:
-    return str(value)
-
-
 def _series_json(ts: series.TruncatedSeries) -> list[dict]:
-    return [{"exponents": list(exps), "coefficient": _coeff_str(value)}
+    return [{"exponents": list(exps), "coefficient": str(value)}
             for exps, value in ts.terms()]
 
 
@@ -345,10 +341,7 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SalientError as exc:
+    except (SalientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -843,19 +843,22 @@ def all_posets_up_to_iso(n: int,
         raise DomainError("n must be >= 0")
     if n > max_n:
         raise GuardExceeded(f"isomorphism-class sweep limited to n <= {max_n}")
+    return list(_iso_sweep(n))[-1]
+
+
+def _iso_sweep(max_n: int):
+    """The sweep of all_posets_up_to_iso, yielding the representatives of
+    each size 0..max_n as they are grown (nothing when max_n < 0)."""
     reps = [NaturalPoset(0, ())]
-    for size in range(1, n + 1):
-        seen: set[tuple] = set()
-        grown = []
-        for rep in reps:
-            for d in _pykernels.order_ideals(rep.down):
-                child = NaturalPoset(size, rep.down + (d,))
-                key = child.canonical_key()
-                if key not in seen:
-                    seen.add(key)
-                    grown.append(child)
-        reps = grown
-    return reps
+    for size in range(max_n + 1):
+        if size:
+            grown: dict[tuple, NaturalPoset] = {}
+            for rep in reps:
+                for d in _pykernels.order_ideals(rep.down):
+                    child = NaturalPoset(size, rep.down + (d,))
+                    grown.setdefault(child.canonical_key(), child)
+            reps = list(grown.values())
+        yield reps
 
 
 def all_bounded_graded_posets(max_rank: int, max_size: int,
@@ -867,20 +870,20 @@ def all_bounded_graded_posets(max_rank: int, max_size: int,
     Filtered from the isomorphism-class sweep. A bounded graded poset is a
     bottom and a top adjoined to an interior whose maximal chains all have
     the same number h of elements, and its rank is h + 1 (the empty interior
-    gives the 2-chain). So each class of all_posets_up_to_iso(n), for
-    n = 0..max_size - 2, is kept when its covers raise height by exactly one
-    and its maximal elements all have height h - 1; it becomes element 0
-    (bottom), label v as element v, and n + 1 (top). No two interiors are
-    isomorphic, so neither are the results. The list is ordered by size and
-    then by the order of the sweep.
+    gives the 2-chain). So each class of size n = 0..max_size - 2, taken in
+    one run of the all_posets_up_to_iso sweep, is kept when its covers raise
+    height by exactly one and its maximal elements all have height h - 1; it
+    becomes element 0 (bottom), label v as element v, and n + 1 (top). No
+    two interiors are isomorphic, so neither are the results. The list is
+    ordered by size and then by the order of the sweep.
     """
     if max_rank > guard_rank or max_size > guard_size:
         raise GuardExceeded(
             f"exhaustive graded sweep limited to rank {guard_rank} "
             f"and {guard_size} elements")
     out: list[GradedPoset] = []
-    for n in range(max_size - 1):
-        for interior in all_posets_up_to_iso(n, max_n=guard_size - 2):
+    for n, interiors in enumerate(_iso_sweep(max_size - 2)):
+        for interior in interiors:
             heights = _heights(n, interior.down)
             h = max(heights, default=-1) + 1
             up = interior.up()

@@ -62,6 +62,10 @@ def test_salient_representative_examples():
     assert salient_representative((2, 1, 3)) == (1, 2, 3)
     assert salient_representative((4, 1, 2, 3)) == (4, 1, 2, 3)
     assert salient_representative((4, 3, 2, 1)) == (3, 4, 1, 2)
+    # multiset words: equal letters never commute
+    assert salient_representative((1, 1, 2, 3)) == (1, 1, 2, 3)
+    assert salient_representative((2, 1, 2, 1)) == (1, 1, 2, 2)
+    assert salient_representative((3, 2, 1, 3)) == (2, 3, 1, 3)
     assert class_of((4, 3, 2, 1)).members == (
         (3, 4, 1, 2), (3, 4, 2, 1), (4, 2, 3, 1), (4, 3, 1, 2), (4, 3, 2, 1))
 
@@ -76,11 +80,41 @@ def test_segment_decomposition_examples():
 
 
 def test_segments_are_maximal_against_bfs():
-    # the product over segments must reproduce the breadth-first size,
-    # which fails if any segment stopped short of maximal
-    for n in range(7):
-        for w in itertools.permutations(range(1, n + 1)):
-            assert class_size(w) == class_of(w).size
+    # one breadth-first class per partition block is the oracle for the
+    # heap's segments, sizes and minima of every member; the product over
+    # segments fails if any segment stopped short of maximal
+    for n in range(9):
+        for cls in class_partition(n):
+            members = set(cls.members)
+            for w in cls.members:
+                segments = segment_decomposition(w).segments
+                assert sum(segments, ()) in members
+                for seg in segments:
+                    step = 1 if seg == tuple(sorted(seg)) else -1
+                    assert list(seg) == list(range(seg[0], seg[-1] + step,
+                                                   step))
+                assert math.prod(fibonacci(len(s) + 1)
+                                 for s in segments) == cls.size
+                assert salient_representative(w) == cls.representative
+
+
+def test_heap_paths_on_multisets_against_bfs():
+    for counts in itertools.product(range(8), repeat=4):
+        if sum(counts) > 7:
+            continue
+        spec = MultisetSpec.from_mapping(dict(enumerate(counts, start=1)))
+        for cls in multiset_class_partition(spec):
+            for w in cls.members:
+                assert class_size(w) == cls.size
+                assert salient_representative(w) == cls.representative
+
+
+def test_heap_paths_past_the_orbit_cap():
+    assert class_size(identity(200)) == fibonacci(201)
+    w = reverse(identity(300))
+    rep = salient_representative(w)
+    assert is_salient(rep)
+    assert class_size(rep) == class_size(w)
 
 
 def test_class_size_examples():

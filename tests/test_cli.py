@@ -30,6 +30,17 @@ def test_class_size_only(capsys):
     assert code == 0 and out == "3\n"
 
 
+def test_multiset_words_take_the_heap_paths(capsys):
+    code, out, _ = run(capsys, "salient", "--word", "1123")
+    assert code == 0 and out == "1123\n"
+    code, out, _ = run(capsys, "salient", "--word", "2121")
+    assert code == 0 and out == "1122\n"
+    code, out, _ = run(capsys, "class", "--word", "1123", "--size-only")
+    assert code == 0 and out == "4\n"
+    code, out, _ = run(capsys, "class", "--word", "1123")
+    assert code == 0 and len(out.split()) == 4
+
+
 def test_class_members_json(capsys):
     code, out, _ = run(capsys, "class", "--word", "321", "--format", "json")
     assert code == 0

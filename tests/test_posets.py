@@ -429,6 +429,12 @@ def test_bounded_graded_sweep_small():
     assert len({p.canonical_key() for p in swept}) == len(swept) == 369
     with pytest.raises(GuardExceeded):
         all_bounded_graded_posets(6, 10)
+    # the 2-chain needs two elements and rank 1
+    for rank in range(5):
+        assert all_bounded_graded_posets(rank, 0) == []
+        assert all_bounded_graded_posets(rank, 1) == []
+        two = all_bounded_graded_posets(rank, 2)
+        assert two == ([GradedPoset.chain(1)] if rank else [])
 
 
 def test_is_bounded_graded_against_cover_loops():
