@@ -1,10 +1,15 @@
 """Orbits of the interchange relations, canonical representatives, Fibonacci
 class sizes, and the class-counting formulas and series.
 
-Orbits are listed by breadth-first closure over the move relation; member
-order is lexicographic. Sizes, minima and segments are read off the word's
-heap poset instead. The orbit memory guard is twofold: a member cap (default
-10**7) and, when SALIENT_LIMIT_MB is set, a byte budget for the visited set.
+The relations are trace equivalences, so a class is a connected component of
+the move graph. Partitions come from one union-find scan over the words in
+lexicographic order; class_of lists a single class by breadth-first closure
+and is the oracle for the scan. Member order is lexicographic. Sizes, minima
+and segments are read off the word's heap poset instead. The orbit memory
+guard is a member cap (default 10**7) and, when SALIENT_LIMIT_MB is set, a
+byte budget. A partition checks its arrangement count against it before the
+scan; class_of checks the heap's class size (consecutive relation) before the
+search and the visited set as it grows.
 """
 from __future__ import annotations
 
@@ -12,14 +17,13 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
+from typing import Iterable, Iterator
 
 from salient import series
 from salient.errors import DomainError, GuardExceeded, OrbitOverflowError
 from salient.posets import NaturalPoset
 from salient.words import (MultisetSpec, Word, check_permutation, check_word,
-                           consecutive_moves, fibonacci, geq_j_moves,
-                           _is_salient)
+                           fibonacci, _is_salient)
 
 CONSECUTIVE = "consecutive"
 DEFAULT_ORBIT_CAP = 10_000_000
@@ -67,11 +71,11 @@ def parse_relation(relation: str) -> tuple[str, int | None]:
     raise DomainError(f"unknown relation {relation!r}")
 
 
-def _moves_for(relation: str):
+def _steps(relation: str, n: int) -> frozenset[int]:
+    """Letter differences |a - b| at which the relation swaps an adjacent
+    pair in a word of length n (a permutation, for the geq relations)."""
     kind, j = parse_relation(relation)
-    if kind == CONSECUTIVE:
-        return consecutive_moves
-    return partial(geq_j_moves, j=j)
+    return frozenset({1} if kind == CONSECUTIVE else range(j, n))
 
 
 def _orbit_cap(word_length: int, max_members: int | None) -> int:
@@ -89,23 +93,34 @@ def _orbit_cap(word_length: int, max_members: int | None) -> int:
     return cap
 
 
+def _neighbours(u: Word, steps: frozenset[int]) -> Iterator[Word]:
+    """Words one move from u (unchecked: u is already validated)."""
+    for i in range(len(u) - 1):
+        if abs(u[i] - u[i + 1]) in steps:
+            yield u[:i] + (u[i + 1], u[i]) + u[i + 2:]
+
+
 def class_of(word, relation: str = CONSECUTIVE,
              max_members: int | None = None) -> EquivalenceClass:
     """Breadth-first closure of a word under the relation's moves.
 
     Multiset words are only meaningful for the consecutive relation; the
-    geq relations require a permutation.
+    geq relations require a permutation. For the consecutive relation the
+    class size is read off the heap first, so an orbit over the member cap
+    raises before the search starts; the cap is also enforced as it grows.
     """
     kind, _ = parse_relation(relation)
     w = check_word(word) if kind == CONSECUTIVE else check_permutation(word)
-    moves = _moves_for(relation)
+    steps = _steps(relation, len(w))
     cap = _orbit_cap(len(w), max_members)
+    if kind == CONSECUTIVE and class_size(w) > cap:
+        raise OrbitOverflowError(f"orbit of {w} exceeds {cap} members")
     seen = {w}
     frontier = [w]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in moves(u):
+            for v in _neighbours(u, steps):
                 if v not in seen:
                     seen.add(v)
                     if len(seen) > cap:
@@ -118,25 +133,60 @@ def class_of(word, relation: str = CONSECUTIVE,
                             size=len(members))
 
 
+def _scan_partition(words: Iterable[Word], steps: frozenset[int],
+                    arrangements: int, length: int) -> list[EquivalenceClass]:
+    """The orbits of words listed in lexicographic order, by one union-find
+    scan: each word is joined to every neighbour one move away that is
+    lexicographically smaller (a swap at i with w_i - w_{i+1} in steps),
+    which the scan has already met. Each set's root is its least word, so a
+    parent is always smaller than its child."""
+    cap = _orbit_cap(length, None)
+    if arrangements > cap:
+        raise OrbitOverflowError(
+            f"{arrangements} arrangements exceed {cap} members")
+    parent: dict[Word, Word] = {}
+    positions = range(length - 1)
+    for w in words:
+        parent[w] = root = w
+        for i in positions:
+            if w[i] - w[i + 1] in steps:
+                r = parent[w[:i] + (w[i + 1], w[i]) + w[i + 2:]]
+                while (p := parent[r]) is not r:
+                    parent[r] = r = parent[p]  # path halving
+                if r is not root:
+                    if r < root:
+                        root, r = r, root
+                    parent[r] = root
+    # in scan order every parent is settled on its root before its children
+    # come up, so members arrive sorted and classes by representative
+    members: dict[Word, list[Word]] = {}
+    for w, p in parent.items():
+        parent[w] = r = parent[p]
+        if r is w:
+            members[w] = [w]
+        else:
+            members[r].append(w)
+    # each map is freed as the member tuples are built, which keeps the
+    # process's peak memory down
+    parent.clear()
+    out = []
+    while members:
+        m = tuple(members.popitem()[1])
+        out.append(EquivalenceClass(members=m, representative=m[0],
+                                    size=len(m)))
+    out.reverse()
+    return out
+
+
 def class_partition(n: int, relation: str = CONSECUTIVE,
                     max_n: int = DEFAULT_BRUTE_N) -> list[EquivalenceClass]:
-    """All orbits of the relation on the permutations of [n].
-
-    Classes come out sorted by representative because permutations are
-    scanned in lexicographic order and the first unseen word of a class is
-    its minimum.
-    """
+    """All orbits of the relation on the permutations of [n], sorted by
+    representative, each with its members sorted."""
     if n > max_n:
         raise GuardExceeded(f"n = {n} exceeds brute-force limit {max_n}")
-    seen: set[Word] = set()
-    out = []
-    for p in itertools.permutations(range(1, n + 1)):
-        if p in seen:
-            continue
-        cls = class_of(p, relation)
-        seen.update(cls.members)
-        out.append(cls)
-    return out
+    n = max(n, 0)  # a negative n lists the empty permutation alone
+    return _scan_partition(itertools.permutations(range(1, n + 1)),
+                           _steps(relation, n), math.factorial(n), n)
 
 
 def multiset_class_partition(spec: MultisetSpec,
@@ -146,15 +196,10 @@ def multiset_class_partition(spec: MultisetSpec,
     if spec.total > max_total:
         raise GuardExceeded(
             f"multiset size {spec.total} exceeds limit {max_total}")
-    seen: set[Word] = set()
-    out = []
-    for w in spec.words():
-        if w in seen:
-            continue
-        cls = class_of(w)
-        seen.update(cls.members)
-        out.append(cls)
-    return out
+    arrangements = math.factorial(spec.total) // math.prod(
+        math.factorial(r) for _, r in spec.counts)
+    return _scan_partition(spec.words(), _steps(CONSECUTIVE, spec.total),
+                           arrangements, spec.total)
 
 
 def _heap(w: Word) -> NaturalPoset:
@@ -168,7 +213,7 @@ def _heap(w: Word) -> NaturalPoset:
             if abs(w[i] - b) != 1:
                 d |= 1 << i | down[i]
         down.append(d)
-    return NaturalPoset(len(w), tuple(down))
+    return NaturalPoset._closed(len(w), tuple(down))
 
 
 def salient_representative(word) -> Word:

@@ -488,8 +488,19 @@ class NaturalPoset:
                     raise DomainError("down-sets are not transitively closed")
 
     @classmethod
+    def _closed(cls, n: int, down: tuple[int, ...]) -> "NaturalPoset":
+        """Trusted constructor for down-sets that are natural and
+        transitively closed by construction: skips __post_init__'s check."""
+        poset = object.__new__(cls)
+        object.__setattr__(poset, "n", n)
+        object.__setattr__(poset, "down", down)
+        return poset
+
+    @classmethod
     def from_relations(cls, n: int, pairs) -> "NaturalPoset":
         """Build from strict relations (a, b) meaning a below b, 1-based."""
+        if n < 0:
+            raise DomainError("need one down-set mask per element")
         direct = [0] * n
         for a, b in pairs:
             if not (1 <= a < b <= n):
@@ -501,7 +512,7 @@ class NaturalPoset:
             for j in _iter_bits(direct[i]):
                 acc |= down[j]
             down[i] = acc
-        return cls(n, tuple(down))
+        return cls._closed(n, tuple(down))
 
     @classmethod
     def antichain(cls, n: int) -> "NaturalPoset":

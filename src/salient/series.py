@@ -95,6 +95,17 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    @classmethod
+    def _trusted(cls, variables, caps, coeffs, total_cap) -> "TruncatedSeries":
+        """Wrap coefficients that are already normalized, nonzero and inside
+        the caps, without __init__'s checks (the arguments are kept as is)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "variables", variables)
+        object.__setattr__(out, "caps", caps)
+        object.__setattr__(out, "total_cap", total_cap)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
     # -- constructors
 
     @classmethod
@@ -208,8 +219,8 @@ class TruncatedSeries:
                 acc = _norm(Fraction(acc) / c0)
             if acc:
                 inv[e] = acc
-        return TruncatedSeries(self.variables, self.caps, inv,
-                               total_cap=self.total_cap)
+        return TruncatedSeries._trusted(self.variables, self.caps, inv,
+                                        self.total_cap)
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)

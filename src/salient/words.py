@@ -296,22 +296,20 @@ class MultisetSpec:
         return MultisetSpec.from_word(word) == self
 
     def words(self) -> Iterator[Word]:
-        """All distinct arrangements, in lexicographic order."""
-        counts = dict(self.counts)
-        values = sorted(counts)
-        n = self.total
-        word: list[int] = []
-
-        def rec() -> Iterator[Word]:
-            if len(word) == n:
-                yield tuple(word)
+        """All distinct arrangements, in lexicographic order: Knuth's
+        Algorithm L (TAOCP 7.2.1.2), stepping to the next permutation of the
+        letters in place."""
+        a = [v for v, r in self.counts for _ in range(r)]
+        last = len(a) - 1
+        while True:
+            yield tuple(a)
+            j = last - 1
+            while j >= 0 and a[j] >= a[j + 1]:
+                j -= 1
+            if j < 0:
                 return
-            for v in values:
-                if counts[v]:
-                    counts[v] -= 1
-                    word.append(v)
-                    yield from rec()
-                    word.pop()
-                    counts[v] += 1
-
-        yield from rec()
+            k = last
+            while a[j] >= a[k]:
+                k -= 1
+            a[j], a[k] = a[k], a[j]
+            a[j + 1:] = a[:j:-1]

@@ -10,6 +10,7 @@ from salient.classes import (class_of, class_partition, class_size,
                              f_inclusion_exclusion, f_j_count, f_series,
                              multiset_class_partition, salient_representative,
                              segment_decomposition, singleton_series)
+from salient.posets import NaturalPoset
 from salient.words import MultisetSpec, fibonacci, identity, is_salient, reverse
 
 F_SEQ = [1, 1, 1, 2, 8, 42, 258, 1824, 14664]
@@ -49,6 +50,21 @@ def test_orbit_cap():
         class_of(identity(30), max_members=100)
 
 
+def test_class_of_checks_the_heap_size_before_searching(monkeypatch):
+    expanded = []
+    neighbours = classes._neighbours
+    monkeypatch.setattr(classes, "_neighbours",
+                        lambda u, steps: expanded.append(u)
+                        or neighbours(u, steps))
+    with pytest.raises(OrbitOverflowError):
+        class_of(identity(40), max_members=10 ** 6)
+    assert expanded == []
+    # the geq relations have no heap size and keep the in-loop cap
+    with pytest.raises(OrbitOverflowError):
+        class_of((1, 3, 5, 7, 9, 2, 4, 6, 8), "geq:2", max_members=100)
+    assert len(expanded) > 0
+
+
 def test_env_memory_cap(monkeypatch):
     monkeypatch.setenv("SALIENT_LIMIT_MB", "0")
     with pytest.raises(OrbitOverflowError):
@@ -56,6 +72,26 @@ def test_env_memory_cap(monkeypatch):
     monkeypatch.setenv("SALIENT_LIMIT_MB", "sixteen")
     with pytest.raises(DomainError):
         class_of((1, 2))
+
+
+def test_partition_guard_counts_arrangements_first(monkeypatch):
+    # one megabyte holds 2**20 // (150 + 8 * 7) = 5090 words of length 7
+    monkeypatch.setenv("SALIENT_LIMIT_MB", "1")
+    assert len(class_partition(7)) == 1824
+    with pytest.raises(OrbitOverflowError):
+        class_partition(8)
+    spec = MultisetSpec.parse("1:2,2:2,3:2,4:2,5:2")  # 113400 arrangements
+
+    def no_words(self):
+        pytest.fail("the scan drew a word")
+        yield
+
+    monkeypatch.setattr(MultisetSpec, "words", no_words)
+    with pytest.raises(OrbitOverflowError):
+        multiset_class_partition(spec)
+    monkeypatch.setenv("SALIENT_LIMIT_MB", "0")
+    with pytest.raises(OrbitOverflowError):
+        class_partition(0)
 
 
 def test_salient_representative_examples():
@@ -109,12 +145,50 @@ def test_heap_paths_on_multisets_against_bfs():
                 assert salient_representative(w) == cls.representative
 
 
+def test_heap_passes_the_public_poset_check():
+    words = [(1, 1, 2, 3, 2, 4), (2, 1, 2, 1), (3, 3, 1, 2, 2)]
+    words += list(itertools.permutations(range(1, 7)))
+    for w in words:
+        heap = classes._heap(w)
+        assert NaturalPoset(heap.n, heap.down) == heap
+
+
 def test_heap_paths_past_the_orbit_cap():
     assert class_size(identity(200)) == fibonacci(201)
     w = reverse(identity(300))
     rep = salient_representative(w)
     assert is_salient(rep)
     assert class_size(rep) == class_size(w)
+
+
+def _assert_scan_matches_bfs(partition, arrangements, relation):
+    # the scan's classes against breadth-first closures, order included
+    reps = [cls.representative for cls in partition]
+    assert reps == sorted(reps)
+    assert sum(cls.size for cls in partition) == arrangements
+    for cls in partition:
+        assert class_of(cls.representative, relation) == cls
+
+
+def test_scan_partition_against_bfs_on_permutations():
+    for n in range(8):
+        for relation in ("consecutive", "geq:2", "geq:3"):
+            _assert_scan_matches_bfs(class_partition(n, relation),
+                                     math.factorial(n), relation)
+
+
+def test_scan_partition_against_bfs_on_multisets():
+    specs = [MultisetSpec.from_mapping(dict(enumerate(counts, start=1)))
+             for counts in itertools.product(range(8), repeat=4)
+             if sum(counts) <= 7]
+    specs += [MultisetSpec.parse(text) for text in
+              ("1:2,2:1,4:2", "1:1,3:2,4:1,6:2", "2:3,4:1,5:3")]
+    for spec in specs:
+        arrangements = math.factorial(spec.total)
+        for _, r in spec.counts:
+            arrangements //= math.factorial(r)
+        _assert_scan_matches_bfs(multiset_class_partition(spec),
+                                 arrangements, "consecutive")
 
 
 def test_class_size_examples():

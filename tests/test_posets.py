@@ -114,12 +114,27 @@ def test_ideals_lattice_examples():
 def test_natural_poset_validation():
     with pytest.raises(DomainError):
         NaturalPoset(2, (0b10, 0))
+    # 3 above 2 above 1, but 1 missing from 3's down-set
+    with pytest.raises(DomainError, match="transitively closed"):
+        NaturalPoset(3, (0, 0b1, 0b10))
+    with pytest.raises(DomainError):
+        NaturalPoset.from_relations(-1, [])
     with pytest.raises(DomainError):
         NaturalPoset.from_relations(3, [(2, 1)])
     q = NaturalPoset.from_relations(4, [(1, 2), (2, 4)])
     assert q.less(1, 4)
     assert q.relations() == [(1, 2), (1, 4), (2, 4)]
     assert q.cover_pairs() == [(1, 2), (2, 4)]
+
+
+def test_from_relations_output_passes_the_public_check():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                 if rng.random() < 0.3]
+        q = NaturalPoset.from_relations(n, pairs)
+        assert NaturalPoset(q.n, q.down) == q
 
 
 def test_q_from_commuting_word():

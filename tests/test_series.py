@@ -62,6 +62,21 @@ def test_inverse_times_series_is_one(s):
     assert s * s.inverse() == one
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(invertible_series())
+def test_inverse_output_passes_the_validating_constructor(s):
+    inv = s.inverse()
+    checked = TruncatedSeries(inv.variables, inv.caps, inv.coeffs,
+                              total_cap=inv.total_cap)
+    assert checked.coeffs == inv.coeffs
+    assert checked == inv
+
+
+def test_cf_series_passes_the_validating_constructor():
+    big = cf_series(4, (5, 5, 5, 5))
+    assert TruncatedSeries(big.variables, big.caps, big.coeffs) == big
+
+
 def test_series_validation():
     with pytest.raises(DomainError):
         TruncatedSeries(("x",), (2, 3))

@@ -2,6 +2,8 @@ import doctest
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from salient import words
 from salient.errors import DomainError
@@ -130,6 +132,15 @@ def test_multiset_spec():
         MultisetSpec.parse("1:x")
     gapped = MultisetSpec.parse("1:2,4:1")
     assert gapped.caps_vector() == (2, 0, 0, 1)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.dictionaries(st.integers(1, 6), st.integers(0, 2), max_size=4))
+@example({})
+def test_multiset_words_match_sorted_permutations(mapping):
+    spec = MultisetSpec.from_mapping(mapping)
+    letters = [v for v, r in spec.counts for _ in range(r)]
+    assert list(spec.words()) == sorted(set(itertools.permutations(letters)))
 
 
 def test_multiset_words_are_sorted_and_complete():
