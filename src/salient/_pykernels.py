@@ -9,6 +9,13 @@ order_ideals, chain_counts and moebius_vector have no twin: they are the one
 ideal enumerator, chain counter and Moebius transform of the pure path, which
 salient.posets calls directly for posets of every kind.
 
+The flag kernels keep their inner loops out of the interpreter.
+chain_counts builds each element's chain counts rank block by rank block,
+summing whole lists of lower elements with map and zip. zeta_vector and
+moebius_vector are one butterfly over list slices (Yates' method, the fast
+zeta/Moebius transform of Bjorklund, Husfeldt, Kaski and Koivisto),
+differing only in the operator.
+
 Conventions shared by both backends:
 
 * a natural poset on n elements is passed as ``down``, a sequence where
@@ -18,6 +25,8 @@ Conventions shared by both backends:
 * returned vectors are plain lists of ints indexed by those bitmasks.
 """
 from __future__ import annotations
+
+import operator
 
 from salient.errors import GuardExceeded
 
@@ -74,31 +83,38 @@ def chain_counts(layers) -> list[int]:
     exactly when mask x is a subset of mask y. Entry S of the result counts
     the chains whose elements have exactly the ranks in S (bit i-1 for rank
     i, 0 < i < n).
+
+    Rank blocks: each element y of rank r >= 1 gets the vector f(y) of
+    chains strictly below y by rank set, indexed by the subsets of [r-1].
+    It is [1] (the empty chain) followed by one block per rank s < r. Block
+    s fills indices 2^(s-1)..2^s - 1, the rank sets whose largest rank is
+    s, and is the entry-wise sum of f(x) over the x < y of rank s. The
+    result is f of a virtual top above every element, so ranks 0 and n
+    never enter a chain.
     """
     n = len(layers) - 1
-    alpha = [0] * (1 << max(n - 1, 0))
-    alpha[0] = 1
-
-    def extend(last: int, vec: list[int], smask: int) -> None:
-        for r in range(last + 1, n):
-            prev = layers[last]
-            nvec = []
-            for ideal in layers[r]:
-                tot = 0
-                for k, sub in enumerate(prev):
-                    if not sub & ~ideal:
-                        tot += vec[k]
-                nvec.append(tot)
-            m2 = smask | (1 << (r - 1))
-            alpha[m2] = sum(nvec)
-            extend(r, nvec, m2)
-
-    for r in range(1, n):
-        vec = [1] * len(layers[r])
-        mask = 1 << (r - 1)
-        alpha[mask] = len(layers[r])
-        extend(r, vec, mask)
-    return alpha
+    if n <= 0:
+        return [1]
+    # done[s - 1] pairs each element of rank s with its vector f
+    done: list[list[tuple[int, list[int]]]] = []
+    for r in range(1, n + 1):
+        # at r = n, the virtual top: mask -1 holds every mask
+        rows = []
+        for y in (layers[r] if r < n else [-1]):
+            vec = [1]
+            for s, lower in enumerate(done, 1):
+                block = [fx for x, fx in lower if not x & ~y]
+                if len(block) == 1:
+                    vec += block[0]
+                elif len(block) == 2:
+                    vec += map(operator.add, *block)
+                elif block:
+                    vec += map(sum, zip(*block))
+                else:
+                    vec += [0] * (1 << (s - 1))
+            rows.append((y, vec))
+        done.append(rows)
+    return done[-1][0][1]
 
 
 def natural_flag_vectors(n: int, down) -> tuple[list[int], list[int]]:
@@ -118,28 +134,61 @@ def natural_flag_vectors(n: int, down) -> tuple[list[int], list[int]]:
     return alpha, moebius_vector(alpha, n - 1)
 
 
+# Entries per slice in _butterfly: slices of at most this many entries keep
+# each level's temporaries small whatever the vector length.
+_TILE = 1 << 12
+
+
+def _butterfly(vec, nbits: int, op) -> list[int]:
+    """Apply out[S] = op(out[S], out[S - {b}]) for every S holding bit b,
+    bit by bit for b < nbits: the subset-sum (op = add) or Moebius (op =
+    sub) transform of a vector of 2**nbits entries.
+
+    Bits below the tile width are done tile by tile, through strided slices
+    while the stride is short and through contiguous half-blocks once the
+    half-blocks are long. Higher bits pair whole tiles. Every level runs as
+    map(op, ...) over slices of at most _TILE entries.
+    """
+    size = 1 << nbits
+    if len(vec) != size:
+        raise ValueError("vector length must be 2**nbits")
+    out = list(vec)
+    tile = min(size, _TILE)
+    low = tile.bit_length() - 1
+    for t in range(0, size, tile):
+        end = t + tile
+        for b in range(low):
+            h = 1 << b
+            step = h << 1
+            if h * step <= tile:
+                for j in range(t, t + h):
+                    out[j + h:end:step] = map(
+                        op, out[j + h:end:step], out[j:end:step])
+            else:
+                for i in range(t, end, step):
+                    out[i + h:i + step] = map(
+                        op, out[i + h:i + step], out[i:i + h])
+    for b in range(low, nbits):
+        h = 1 << b
+        for i in range(0, size, h << 1):
+            for c in range(i, i + h, tile):
+                out[c + h:c + h + tile] = map(
+                    op, out[c + h:c + h + tile], out[c:c + tile])
+    return out
+
+
 def zeta_vector(vec, nbits: int) -> list[int]:
     """Subset-sum transform: out[S] = sum of vec[T] over T subset of S.
 
-    Inverse of moebius_vector, used to check Moebius inversion round trips.
+    The butterfly with op = add: after the pass over bit b, each entry holds
+    the sum over the subsets that differ from it in bits <= b only. Inverse
+    of moebius_vector; takes a flag h-vector beta back to alpha.
     """
-    out = list(vec)
-    for b in range(nbits):
-        bit = 1 << b
-        for s in range(len(out)):
-            if s & bit:
-                out[s] += out[s ^ bit]
-    return out
+    return _butterfly(vec, nbits, operator.add)
 
 
 def moebius_vector(vec, nbits: int) -> list[int]:
     """Moebius transform: out[S] = sum of (-1)^|S - T| vec[T] over T subset
-    of S. Takes a flag f-vector alpha to the flag h-vector beta; inverse of
-    zeta_vector."""
-    out = list(vec)
-    for b in range(nbits):
-        bit = 1 << b
-        for s in range(len(out)):
-            if s & bit:
-                out[s] -= out[s ^ bit]
-    return out
+    of S. The butterfly with op = sub; takes a flag f-vector alpha to the
+    flag h-vector beta. Inverse of zeta_vector."""
+    return _butterfly(vec, nbits, operator.sub)

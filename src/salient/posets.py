@@ -28,6 +28,7 @@ DEFAULT_IDEAL_CAP = 200_000
 DEFAULT_EXTENSION_LIST_SIZE = 12
 DEFAULT_EXTENSION_COUNT_SIZE = 20
 DEFAULT_DESCENT_SIZE = 14
+DEFAULT_FLAG_RANK = 20
 DEFAULT_NATURAL_SWEEP = 7
 
 
@@ -277,24 +278,30 @@ class GradedPoset:
 
     # -- flag vectors
 
-    def flag_alpha_vector(self) -> list[int]:
-        """alpha over all subsets of [rank-1], indexed by rank-set bitmask."""
-        if self._alpha is not None:
-            return self._alpha
-        self._require_bounded()
-        below = self.below_masks()
-        alpha = _pykernels.chain_counts(
-            [[below[e] | 1 << e for e in layer] for layer in self.layers()])
-        object.__setattr__(self, "_alpha", alpha)
-        return alpha
+    def flag_alpha_vector(self, max_rank: int = DEFAULT_FLAG_RANK
+                          ) -> list[int]:
+        """alpha over all subsets of [rank-1], indexed by rank-set bitmask.
 
-    def flag_beta_vector(self) -> list[int]:
-        if self._beta is not None:
-            return self._beta
-        beta = _pykernels.moebius_vector(self.flag_alpha_vector(),
-                                         max(self.rank - 1, 0))
-        object.__setattr__(self, "_beta", beta)
-        return beta
+        The vector has 2^(rank-1) entries, so ranks above max_rank raise
+        GuardExceeded before it is built."""
+        if self.rank > max_rank:
+            raise GuardExceeded(f"flag vectors limited to rank {max_rank}")
+        if self._alpha is None:
+            self._require_bounded()
+            below = self.below_masks()
+            alpha = _pykernels.chain_counts(
+                [[below[e] | 1 << e for e in layer]
+                 for layer in self.layers()])
+            object.__setattr__(self, "_alpha", alpha)
+        return self._alpha
+
+    def flag_beta_vector(self, max_rank: int = DEFAULT_FLAG_RANK
+                         ) -> list[int]:
+        alpha = self.flag_alpha_vector(max_rank=max_rank)
+        if self._beta is None:
+            beta = _pykernels.moebius_vector(alpha, max(self.rank - 1, 0))
+            object.__setattr__(self, "_beta", beta)
+        return self._beta
 
     def alpha(self, ranks) -> int:
         return self.flag_alpha_vector()[mask_from_ranks(ranks, self.rank)]
@@ -585,8 +592,12 @@ class NaturalPoset:
                   for m in ideals]
         return GradedPoset(ranks, covers, labels)
 
-    def jq_flag_vectors(self) -> tuple[list[int], list[int]]:
-        """(alpha, beta) of the ideal lattice, via the fast kernels."""
+    def jq_flag_vectors(self, max_rank: int = DEFAULT_FLAG_RANK
+                        ) -> tuple[list[int], list[int]]:
+        """(alpha, beta) of the ideal lattice, via the fast kernels. The
+        lattice has rank n, so n above max_rank raises GuardExceeded."""
+        if self.n > max_rank:
+            raise GuardExceeded(f"flag vectors limited to rank {max_rank}")
         return _kernels.natural_flag_vectors(self.n, self.down)
 
     # -- linear extensions

@@ -131,6 +131,13 @@ def test_poset_beta_gamma(capsys):
     ]
 
 
+def test_poset_beta_rank_guard(capsys):
+    # rank 29: 2^28 flag-vector entries, refused before any is built
+    code, out, err = run(capsys, "poset", "beta", "--gamma", "01" * 14)
+    assert code == 2 and out == ""
+    assert "limited to rank" in err
+
+
 def test_poset_beta_json_and_file(capsys, tmp_path):
     path = tmp_path / "poset.json"
     path.write_text(posets.GradedPoset.boolean_lattice(2).to_json(),

@@ -59,20 +59,41 @@ def test_pure_flag_vectors_match_lattice():
             assert beta == J.flag_beta_vector()
 
 
+def _loop_transform(vec, nbits, sign):
+    # out[S] = sum over T subset of S of sign^|S - T| vec[T], bit by bit
+    out = list(vec)
+    for b in range(nbits):
+        bit = 1 << b
+        for s in range(len(out)):
+            if s & bit:
+                out[s] += sign * out[s ^ bit]
+    return out
+
+
 def test_zeta_inverts_moebius():
+    # past 2**12 entries the butterfly pairs whole tiles, so nbits <= 14
+    # runs both its in-tile levels and its cross-tile levels
     rng = random.Random(2)
-    for nbits in range(6):
-        vec = [rng.randint(-9, 9) for _ in range(1 << nbits)]
+    big = 2**70
+    for nbits in range(15):
+        vec = [rng.choice((rng.randint(-9, 9), big, -big,
+                           rng.randint(-big, big)))
+               for _ in range(1 << nbits)]
         transformed = _pykernels.zeta_vector(vec, nbits)
-        # subtract the strict-subset sums back off
-        recovered = list(transformed)
-        for b in range(nbits):
-            bit = 1 << b
-            for s in range(len(recovered)):
-                if s & bit:
-                    recovered[s] -= recovered[s ^ bit]
-        assert recovered == vec
+        assert transformed == _loop_transform(vec, nbits, 1)
+        assert _kernels.zeta_vector(vec, nbits) == transformed
+        inverse = _pykernels.moebius_vector(vec, nbits)
+        assert inverse == _loop_transform(vec, nbits, -1)
         assert _pykernels.moebius_vector(transformed, nbits) == vec
+        assert _pykernels.zeta_vector(inverse, nbits) == vec
+
+
+def test_transforms_reject_wrong_lengths():
+    for transform in (_pykernels.zeta_vector, _pykernels.moebius_vector):
+        with pytest.raises(ValueError):
+            transform([1, 2, 3], 2)
+        with pytest.raises(ValueError):
+            transform([1, 2], 0)
 
 
 @needs_compiled

@@ -101,6 +101,40 @@ def test_moebius_inversion_round_trip():
         assert _kernels.zeta_vector(beta, max(poset.rank - 1, 0)) == alpha
 
 
+def test_gamma_flag_vectors_against_descents_to_rank_11():
+    # independent of chain_counts: the descent tabulation of q_from_gamma
+    # is the flag h-vector of its ideal lattice, lattice_from_gamma
+    words = [g for rank in range(1, 12) for g in gamma_words(rank)]
+    assert len(words) == 513
+    for gamma in words:
+        q = q_from_gamma(gamma)
+        alpha, beta = q.jq_flag_vectors()
+        assert q.descent_vector() == beta
+        assert lattice_from_gamma(gamma).flag_beta_vector() == beta
+        assert set(beta) <= {-1, 0, 1}
+        assert _kernels.zeta_vector(beta, max(q.n - 1, 0)) == alpha
+
+
+def test_flag_vectors_rank_guard():
+    lattice = lattice_from_gamma("0101")
+    for flag_vector in (lattice.flag_alpha_vector, lattice.flag_beta_vector):
+        with pytest.raises(GuardExceeded):
+            flag_vector(max_rank=4)
+    assert len(lattice.flag_beta_vector(max_rank=5)) == 16
+    # a cached vector does not lift the guard
+    with pytest.raises(GuardExceeded):
+        lattice.flag_alpha_vector(max_rank=4)
+    q = q_from_gamma("0101")
+    with pytest.raises(GuardExceeded):
+        q.jq_flag_vectors(max_rank=4)
+    assert len(q.jq_flag_vectors(max_rank=5)[1]) == 16
+    # the check runs before anything of size 2^(rank - 1) is built
+    with pytest.raises(GuardExceeded):
+        lattice_from_gamma("01" * 30).flag_alpha_vector()
+    with pytest.raises(GuardExceeded):
+        NaturalPoset.chain(61).jq_flag_vectors()
+
+
 def test_ideals_lattice_examples():
     assert are_isomorphic(NaturalPoset.antichain(2).ideals_lattice(),
                           GradedPoset.boolean_lattice(2))
