@@ -17,13 +17,13 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from salient import series
 from salient.errors import DomainError, GuardExceeded, OrbitOverflowError
 from salient.posets import NaturalPoset
 from salient.words import (MultisetSpec, Word, check_permutation, check_word,
-                           fibonacci, _is_salient)
+                           fibonacci, _is_salient, _neighbours)
 
 CONSECUTIVE = "consecutive"
 DEFAULT_ORBIT_CAP = 10_000_000
@@ -91,13 +91,6 @@ def _orbit_cap(word_length: int, max_members: int | None) -> int:
         per_member = 150 + 8 * word_length
         cap = min(cap, budget * 2 ** 20 // per_member)
     return cap
-
-
-def _neighbours(u: Word, steps: frozenset[int]) -> Iterator[Word]:
-    """Words one move from u (unchecked: u is already validated)."""
-    for i in range(len(u) - 1):
-        if abs(u[i] - u[i + 1]) in steps:
-            yield u[:i] + (u[i + 1], u[i]) + u[i + 2:]
 
 
 def class_of(word, relation: str = CONSECUTIVE,
@@ -328,26 +321,15 @@ def singleton_series(order: int) -> list[int]:
     """Coefficients of x^0..x^order of sum over m of m! (x(1-x)/(1+x))^m."""
     if order < 0:
         raise DomainError("order must be >= 0")
-    base = series.expand_rational([0, 1, -1], [1, 1], order)
-    out = [0] * (order + 1)
-    out[0] = 1
-    power = [1] + [0] * order
+    base = series.expand_rational({(1,): 1, (2,): -1}, {(0,): 1, (1,): 1},
+                                  (order,), variables=("x",))
+    total = power = series.TruncatedSeries.constant(1, ("x",), (order,))
     fact = 1
     for m in range(1, order + 1):
-        power = _poly_mul_trunc(power, base, order)
+        power = power * base
         fact *= m
-        for i in range(m, order + 1):
-            out[i] += fact * power[i]
-    return out
-
-
-def _poly_mul_trunc(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j in range(min(len(b), order + 1 - i)):
-                out[i + j] += ca * b[j]
-    return out
+        total = total + power * fact
+    return [total.coefficient((i,)) for i in range(order + 1)]
 
 
 def f_j_count(n: int, j: int, method: str = "formula",

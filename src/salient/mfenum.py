@@ -1,11 +1,25 @@
 """Structural generation and enumeration of the posets with
 multiplicity-free flag h-vectors.
 
-Every such bounded graded poset is an ordinal sum of indecomposable blocks:
-a single element, or a tower of two-element levels obtained from one of the
-two-per-rank lattice interiors by stretching levels. The distributive case
-(lattices of order ideals) mirrors this at the level of the underlying
-natural posets, whose blocks are the q_from_gamma posets.
+A bounded graded poset is multiplicity-free exactly when each rank holds at
+most two elements, so the family is listed directly, as level words: the
+interior levels bottom-up, "1" for a singleton (joined completely to both
+neighbours) and, for a pair, its join with the level below: K (complete,
+the only choice above a singleton or the bottom), M (a matching), or P or
+P' (three covers: one upper element covers both lower ones, and one lower
+element is covered twice). In P that lower element is the one the block's
+previous three-cover join, carried up through M joins, left covering both;
+in P' it is the other.
+
+The ordinal-sum cuts fall at the singletons and K joins, so each run of pairs
+linked by M, P and P' is an indecomposable block. Its first three-cover join
+refers to nothing and is always P: a block of L levels has 1 + (3^(L-1) - 1)/2
+forms, and distinct words give non-isomorphic posets. A block K P x3 ... xm
+with no M is the interior of lattice_from_gamma(g) for an m-bit gamma word:
+the first P is the forced bits 01, each later join is P where g changes bit
+and P' where it repeats one (0101... is all P), and an M join above pair
+level i is GradedPoset.stretch(i). The distributive case (ideal lattices)
+mirrors this on natural posets, whose blocks are the q_from_gamma posets.
 """
 from __future__ import annotations
 
@@ -13,15 +27,12 @@ from functools import lru_cache
 from typing import Iterator
 
 from salient.errors import DomainError, GuardExceeded
-from salient.posets import (GradedPoset, NaturalPoset, gamma_words,
-                            lattice_from_gamma, q_from_gamma)
+from salient.posets import GradedPoset, NaturalPoset, gamma_words, q_from_gamma
 from salient.series import TruncatedSeries, expand_rational
 
 DEFAULT_MAX_RANK = 10
 DEFAULT_MAX_ELEMENTS = 16
 DEFAULT_MAX_FAMILY = 10
-
-Fragment = tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
 
 
 def g_blocks(n: int) -> int:
@@ -74,122 +85,73 @@ def count_distributive_mf(n: int, max_n: int = DEFAULT_MAX_FAMILY) -> int:
 
 
 # ---------------------------------------------------------------------------
-# general graded posets: block fragments
+# general graded posets: level words
 # ---------------------------------------------------------------------------
-#
-# A fragment is (level sizes, edge layers): edge layer l holds index pairs
-# (a, b) meaning element a of level l is covered by element b of level l+1.
 
-_SINGLETON: Fragment = ((1,), ())
+# The covers into a level, by its join and the size of the level below, as
+# offsets (a, b) from the first element of each level. A singleton level and
+# K are complete; M keeps indices; P and P' leave upper element 0 covering
+# both lower ones.
+_COVERS = {("1", 1): ((0, 0),), ("1", 2): ((0, 0), (1, 0)),
+           ("K", 1): ((0, 0), (0, 1)),
+           ("K", 2): ((0, 0), (0, 1), (1, 0), (1, 1)),
+           ("M", 2): ((0, 0), (1, 1)),
+           ("P", 2): ((0, 0), (0, 1), (1, 0)),
+           ("P'", 2): ((0, 0), (1, 0), (1, 1))}
 
-
-@lru_cache(maxsize=None)
-def _base_fragments(m: int) -> tuple[Fragment, ...]:
-    """Interiors of the rank-(m+1) two-per-rank lattices: m levels of two."""
-    out = []
-    for g in gamma_words(m + 1):
-        lattice = lattice_from_gamma(g)
-        layers = lattice.layers()
-        position = {}
-        for r in range(1, m + 1):
-            for pos, e in enumerate(layers[r]):
-                position[e] = pos
-        edge_layers: list[list[tuple[int, int]]] = [[] for _ in range(m - 1)]
-        for lo, hi in lattice.covers:
-            r = lattice.ranks[lo]
-            if 1 <= r <= m - 1:
-                edge_layers[r - 1].append((position[lo], position[hi]))
-        sizes = tuple(len(layers[r]) for r in range(1, m + 1))
-        out.append((sizes, tuple(tuple(sorted(e)) for e in edge_layers)))
-    return tuple(out)
+# The joins a two-element level may take after a word, by the word's state,
+# each with the state it leaves: None when the word ends in a singleton (or
+# is empty), else whether its last block has a three-cover join yet.
+_PAIR_JOINS = {None: (("K", False),),
+               False: (("K", False), ("M", False), ("P", True)),
+               True: (("K", False), ("M", True), ("P", True), ("P'", True))}
 
 
-def _stretch_fragment(frag: Fragment, level: int, times: int) -> Fragment:
-    """Insert `times` copy levels right above `level`, each element covered
-    by its copy and the old outgoing edges moved to the copies."""
-    sizes = list(frag[0])
-    edges = [list(e) for e in frag[1]]
-    for _ in range(times):
-        s = sizes[level]
-        sizes.insert(level + 1, s)
-        edges.insert(level, [(a, a) for a in range(s)])
-    return tuple(sizes), tuple(tuple(e) for e in edges)
+def _level_words(by: str, bound: int, max_rank: int = DEFAULT_MAX_RANK,
+                 max_elements: int = DEFAULT_MAX_ELEMENTS
+                 ) -> Iterator[tuple[str, ...]]:
+    """Every level word up to the bound, by ascending rank (its length plus
+    one) or element count (its level sizes plus two), each weight listed
+    depth-first: a level weighs 1 by rank and its size by elements."""
+    if by == "rank":
+        if bound > max_rank:
+            raise GuardExceeded(f"rank bound {bound} exceeds {max_rank}")
+        totals, pair = bound, 1
+    elif by == "elements":
+        if bound > max_elements:
+            raise GuardExceeded(f"element bound {bound} exceeds {max_elements}")
+        totals, pair = bound - 1, 2
+    else:
+        raise DomainError(f"unknown enumeration mode {by!r}")
+    for total in range(totals):
+        stack = [((), None, total)]  # a prefix, its state, the weight left
+        while stack:
+            word, state, left = stack.pop()
+            if not left:
+                yield word
+                continue
+            stack.append((word + ("1",), None, left - 1))
+            if left >= pair:
+                stack += [(word + (join,), after, left - pair)
+                          for join, after in _PAIR_JOINS[state]]
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _size(word: tuple[str, ...]) -> int:
+    return 2 + sum(1 if join == "1" else 2 for join in word)
 
 
-@lru_cache(maxsize=None)
-def _blocks_with_levels(levels: int) -> tuple[Fragment, ...]:
-    """All indecomposable fragments occupying exactly `levels` levels."""
-    out: list[Fragment] = []
-    if levels == 1:
-        out.append(_SINGLETON)
-    for m in range(1, levels + 1):
-        for base in _base_fragments(m):
-            for js in _compositions(levels - m, m):
-                frag = base
-                for level in range(m - 1, -1, -1):
-                    if js[level]:
-                        frag = _stretch_fragment(frag, level, js[level])
-                out.append(frag)
-    return tuple(out)
-
-
-def _blocks_with_elements(count: int) -> tuple[Fragment, ...]:
-    if count == 1:
-        return (_SINGLETON,)
-    if count % 2:
-        return ()
-    return tuple(f for f in _blocks_with_levels(count // 2)
-                 if sum(f[0]) == count)
-
-
-def _assemble(fragments) -> GradedPoset:
-    """Ordinal sum of the fragments with a bottom and top adjoined; block
-    junctions get complete bipartite covers."""
+def _assemble(word: tuple[str, ...]) -> GradedPoset:
+    """The bounded graded poset of one level word; the top is one more
+    singleton level."""
     ranks = [0]
-    levels: list[list[int]] = [[0]]
     covers: list[tuple[int, int]] = []
-    for sizes, edge_layers in fragments:
-        first_new = len(levels)
-        for s in sizes:
-            ids = []
-            r = len(levels)
-            for _ in range(s):
-                ids.append(len(ranks))
-                ranks.append(r)
-            levels.append(ids)
-        for lo in levels[first_new - 1]:
-            for hi in levels[first_new]:
-                covers.append((lo, hi))
-        for l, layer_edges in enumerate(edge_layers):
-            low = levels[first_new + l]
-            high = levels[first_new + l + 1]
-            for a, b in layer_edges:
-                covers.append((low[a], high[b]))
-    top = len(ranks)
-    ranks.append(len(levels))
-    for lo in levels[-1]:
-        covers.append((lo, top))
+    low, size = 0, 1  # the first element and size of the level below
+    for r, join in enumerate(word + ("1",), 1):
+        e = len(ranks)
+        covers += [(low + a, e + b) for a, b in _COVERS[join, size]]
+        low, size = e, 1 if join == "1" else 2
+        ranks += [r] * size
     return GradedPoset(ranks, covers)
-
-
-def _fragment_sequences(total: int, block_source) -> Iterator[tuple]:
-    if total == 0:
-        yield ()
-        return
-    for part in range(1, total + 1):
-        for block in block_source(part):
-            for rest in _fragment_sequences(total - part, block_source):
-                yield (block,) + rest
 
 
 def generate_mf_posets(by: str = "rank", bound: int = 8,
@@ -198,62 +160,36 @@ def generate_mf_posets(by: str = "rank", bound: int = 8,
                        ) -> Iterator[GradedPoset]:
     """All bounded graded posets with at most two elements per rank, hence
     exactly the multiplicity-free ones, up to the bound on rank ("rank") or
-    element count ("elements"), one per isomorphism class.
-
-    Each poset is assembled from one sequence of indecomposable blocks whose
-    levels (or elements) add up to the rank minus one (or the element count
-    minus two). A poset is the ordinal sum of its blocks in exactly one way,
-    so distinct sequences give non-isomorphic posets and nothing is
-    canonicalized here; tests/test_mfenum.py
-    (test_generated_mf_posets_pairwise_non_isomorphic) asserts it.
-    """
-    if by == "rank":
-        if bound > max_rank:
-            raise GuardExceeded(f"rank bound {bound} exceeds {max_rank}")
-        totals, blocks = range(bound), _blocks_with_levels
-    elif by == "elements":
-        if bound > max_elements:
-            raise GuardExceeded(f"element bound {bound} exceeds {max_elements}")
-        totals, blocks = range(bound - 1), _blocks_with_elements
-    else:
-        raise DomainError(f"unknown enumeration mode {by!r}")
-    for total in totals:
-        for frags in _fragment_sequences(total, blocks):
-            yield _assemble(frags)
+    element count ("elements"), one per isomorphism class: one per level
+    word, so nothing is canonicalized; tests/test_mfenum.py
+    (test_generated_mf_posets_pairwise_non_isomorphic) asserts it."""
+    for word in _level_words(by, bound, max_rank, max_elements):
+        yield _assemble(word)
 
 
 def mf_counts_by_rank(max_rank_bound: int, **kwargs) -> list[int]:
-    """Counts of the generated posets for each rank 1..max_rank_bound."""
+    """Counts for each rank 1..max_rank_bound, tallied without any poset."""
     out = [0] * (max_rank_bound + 1)
-    for poset in generate_mf_posets("rank", max_rank_bound, **kwargs):
-        out[poset.rank] += 1
+    for word in _level_words("rank", max_rank_bound, **kwargs):
+        out[len(word) + 1] += 1
     return out[1:]
 
 
 def mf_counts_by_elements(max_element_bound: int, **kwargs) -> list[int]:
-    """Counts of the generated posets for each size 2..max_element_bound."""
+    """Counts of the family for each size 2..max_element_bound."""
     out = [0] * (max_element_bound + 1)
-    for poset in generate_mf_posets("elements", max_element_bound, **kwargs):
-        out[poset.size] += 1
+    for word in _level_words("elements", max_element_bound, **kwargs):
+        out[_size(word)] += 1
     return out[2:]
 
 
 def mf_rank_element_table(max_rank_bound: int, **kwargs) -> dict[tuple[int, int], int]:
-    """Counts keyed by (rank, element count), from the by-rank generator."""
+    """Counts keyed by (rank, element count), over the words by rank."""
     table: dict[tuple[int, int], int] = {}
-    for poset in generate_mf_posets("rank", max_rank_bound, **kwargs):
-        key = (poset.rank, poset.size)
+    for word in _level_words("rank", max_rank_bound, **kwargs):
+        key = (len(word) + 1, _size(word))
         table[key] = table.get(key, 0) + 1
     return table
-
-
-def _bipoly_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, int], int] = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v}
 
 
 def u_bivariate(rank_cap: int, size_cap: int,
@@ -265,10 +201,12 @@ def u_bivariate(rank_cap: int, size_cap: int,
     selects the (1 - 3 x y^3) variant, which fails the brute-force
     cross-check and exists here only so tests can demonstrate that failure.
     """
+    def poly(coeffs) -> TruncatedSeries:
+        return TruncatedSeries(("x", "y"), (rank_cap, size_cap), coeffs)
+
     p = numerator_y_power
-    num = _bipoly_mul({(1, 2): 1},
-                      _bipoly_mul({(0, 0): 1, (1, 2): -1},
-                                  {(0, 0): 1, (1, p): -3}))
-    den = {(0, 0): 1, (1, 1): -1, (1, 2): -5,
-           (2, 3): 4, (2, 4): 5, (3, 5): -3}
-    return expand_rational(num, den, (rank_cap, size_cap), variables=("x", "y"))
+    num = (poly({(1, 2): 1}) * poly({(0, 0): 1, (1, 2): -1})
+           * poly({(0, 0): 1, (1, p): -3}))
+    den = poly({(0, 0): 1, (1, 1): -1, (1, 2): -5,
+                (2, 3): 4, (2, 4): 5, (3, 5): -3})
+    return num * den.inverse()

@@ -52,6 +52,18 @@ def ranks_from_mask(mask: int) -> frozenset[int]:
     return frozenset(b + 1 for b in _iter_bits(mask))
 
 
+def _check_chain_table(sizes, max_rank: int) -> None:
+    """Raise GuardExceeded when chain counting over layers of these sizes
+    would keep more than 2^(max_rank+1) entries. _pykernels.chain_counts
+    keeps 2^(r-1) of them for each element of rank r >= 1, so a poset with at
+    most two elements per rank and rank <= max_rank always fits."""
+    entries = sum(count << r >> 1 for r, count in enumerate(sizes) if r)
+    if entries > 1 << (max_rank + 1):
+        raise GuardExceeded(
+            f"chain counts need {entries} entries, more than "
+            f"2^{max_rank + 1} (flag vectors limited to rank {max_rank})")
+
+
 # ---------------------------------------------------------------------------
 # canonical forms (shared by both poset flavors)
 # ---------------------------------------------------------------------------
@@ -283,9 +295,11 @@ class GradedPoset:
         """alpha over all subsets of [rank-1], indexed by rank-set bitmask.
 
         The vector has 2^(rank-1) entries, so ranks above max_rank raise
-        GuardExceeded before it is built."""
+        GuardExceeded before it is built, as do layers too wide for the
+        chain-count table (see _check_chain_table)."""
         if self.rank > max_rank:
             raise GuardExceeded(f"flag vectors limited to rank {max_rank}")
+        _check_chain_table(self.layer_sizes(), max_rank)
         if self._alpha is None:
             self._require_bounded()
             below = self.below_masks()
@@ -569,7 +583,7 @@ class NaturalPoset:
     def ideal_size_profile(self) -> tuple[int, ...]:
         """Number of ideals of each size 0..n."""
         out = [0] * (self.n + 1)
-        for m in self.ideal_masks():
+        for m in _pykernels.order_ideals(self.down):
             out[bin(m).count("1")] += 1
         return tuple(out)
 
@@ -595,9 +609,14 @@ class NaturalPoset:
     def jq_flag_vectors(self, max_rank: int = DEFAULT_FLAG_RANK
                         ) -> tuple[list[int], list[int]]:
         """(alpha, beta) of the ideal lattice, via the fast kernels. The
-        lattice has rank n, so n above max_rank raises GuardExceeded."""
+        lattice has rank n, so n above max_rank raises GuardExceeded, and so
+        does an ideal lattice too wide for the chain-count table. At most
+        C(n, r) ideals have size r, so the table has at most (3^n - 1)/2
+        entries, and the ideal size profile is needed only above that."""
         if self.n > max_rank:
             raise GuardExceeded(f"flag vectors limited to rank {max_rank}")
+        if (3 ** self.n - 1) // 2 > 1 << (max_rank + 1):
+            _check_chain_table(self.ideal_size_profile(), max_rank)
         return _kernels.natural_flag_vectors(self.n, self.down)
 
     # -- linear extensions

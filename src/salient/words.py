@@ -18,7 +18,7 @@ most 9 ("13254") and as comma-separated integers otherwise ("10,2,1").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Container, Iterator
 
 from salient.errors import DomainError
 
@@ -143,18 +143,22 @@ def is_salient(word) -> bool:
 # moves
 # ---------------------------------------------------------------------------
 
+def _neighbours(u: Word, steps: Container[int]) -> Iterator[Word]:
+    """Words one swap of adjacent letters from u, at each position where the
+    letters differ by an amount in steps (unchecked: u is already
+    validated)."""
+    for i in range(len(u) - 1):
+        if abs(u[i] - u[i + 1]) in steps:
+            yield u[:i] + (u[i + 1], u[i]) + u[i + 2:]
+
+
 def consecutive_moves(word) -> set[Word]:
     """All words reachable by one swap of adjacent letters differing by 1.
 
     >>> sorted(consecutive_moves((1, 2, 3)))
     [(1, 3, 2), (2, 1, 3)]
     """
-    w = check_word(word)
-    out = set()
-    for i in range(len(w) - 1):
-        if abs(w[i] - w[i + 1]) == 1:
-            out.add(w[:i] + (w[i + 1], w[i]) + w[i + 2:])
-    return out
+    return set(_neighbours(check_word(word), (1,)))
 
 
 def geq_j_moves(word, j: int) -> set[Word]:
@@ -168,11 +172,8 @@ def geq_j_moves(word, j: int) -> set[Word]:
     if j < 2:
         raise DomainError(f"j must be >= 2, got {j}")
     w = check_permutation(word)
-    out = set()
-    for i in range(len(w) - 1):
-        if abs(w[i] - w[i + 1]) >= j:
-            out.add(w[:i] + (w[i + 1], w[i]) + w[i + 2:])
-    return out
+    # letters of a permutation of [n] differ by at most n - 1
+    return set(_neighbours(w, range(j, len(w))))
 
 
 # ---------------------------------------------------------------------------

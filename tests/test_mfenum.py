@@ -6,8 +6,8 @@ from salient.mfenum import (count_distributive_mf, distributive_blocks,
                             g_blocks, generate_mf_posets, mf_counts_by_elements,
                             mf_counts_by_rank, mf_rank_element_table,
                             u_bivariate)
-from salient.posets import (GradedPoset, are_isomorphic, gamma_words,
-                            q_from_commuting_word)
+from salient.posets import (GradedPoset, all_bounded_graded_posets,
+                            are_isomorphic, gamma_words, q_from_commuting_word)
 
 
 def test_g_blocks():
@@ -66,6 +66,17 @@ def test_generated_mf_posets_pairwise_non_isomorphic():
     for by, bound, count in (("rank", 8, 5967), ("elements", 10, 222)):
         keys = {p.canonical_key() for p in generate_mf_posets(by, bound)}
         assert len(keys) == count
+
+
+def test_generated_mf_posets_complete_against_the_graded_sweep():
+    # the independent sweep lists every bounded graded poset of rank <= 4
+    # and size <= 9 up to isomorphism; the family is its two-per-rank part
+    swept = {p.canonical_key() for p in all_bounded_graded_posets(4, 9)
+             if p.has_at_most_two_per_rank()}
+    for by, bound in (("rank", 4), ("elements", 9)):
+        keys = {p.canonical_key() for p in generate_mf_posets(by, bound)
+                if p.rank <= 4 and p.size <= 9}
+        assert keys == swept
 
 
 def test_six_element_count():

@@ -12,7 +12,8 @@ from salient.posets import (GradedPoset, NaturalPoset, all_bounded_graded_posets
                             are_isomorphic, check_gamma, gamma_words,
                             lattice_from_gamma, q_from_commuting_word,
                             q_from_gamma, random_graded_poset)
-from salient.mfenum import count_distributive_mf
+from salient.mfenum import (count_distributive_mf, distributive_mf_family,
+                            generate_mf_posets)
 from salient.words import descent_set, fibonacci, format_word, is_sparse
 
 
@@ -133,6 +134,23 @@ def test_flag_vectors_rank_guard():
         lattice_from_gamma("01" * 30).flag_alpha_vector()
     with pytest.raises(GuardExceeded):
         NaturalPoset.chain(61).jq_flag_vectors()
+
+
+def test_flag_vectors_chain_table_guard():
+    # rank 4 passes the rank guard at max_rank = 4, but chain counting over
+    # B4 would keep 4*1 + 6*2 + 4*4 + 1*8 = 40 > 2^5 entries
+    with pytest.raises(GuardExceeded):
+        GradedPoset.boolean_lattice(4).flag_alpha_vector(max_rank=4)
+    with pytest.raises(GuardExceeded):
+        NaturalPoset.antichain(4).jq_flag_vectors(max_rank=4)
+    assert len(GradedPoset.boolean_lattice(4).flag_alpha_vector(
+        max_rank=5)) == 8
+    assert len(NaturalPoset.antichain(4).jq_flag_vectors(max_rank=5)[0]) == 8
+    # every poset with at most two elements per rank still fits at its rank
+    for poset in generate_mf_posets("rank", 6):
+        poset.flag_alpha_vector(max_rank=poset.rank)
+    for q in distributive_mf_family(6):
+        q.jq_flag_vectors(max_rank=q.n)
 
 
 def test_ideals_lattice_examples():
