@@ -22,7 +22,7 @@ from salient.errors import (DomainError, GuardExceeded,
 from salient.posets import (GradedPoset, NaturalPoset, are_isomorphic,
                             lattice_from_gamma, q_from_commuting_word,
                             q_from_gamma)
-from salient.series import (TPoly, TruncatedSeries, cf_series, expand_rational,
+from salient.series import (TruncatedSeries, cf_series, expand_rational,
                             f4_coefficient, f4_t_coefficient, g_umbral_series,
                             multiset_count_cf, phi)
 from salient.words import (MultisetSpec, Word, descent_set, fibonacci,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "KERNEL_BACKEND", "Word", "MultisetSpec", "EquivalenceClass",
-    "GradedPoset", "NaturalPoset", "TruncatedSeries", "TPoly",
+    "GradedPoset", "NaturalPoset", "TruncatedSeries",
     "SalientError", "DomainError", "GuardExceeded", "OrbitOverflowError",
     "InternalConsistencyError",
     "descent_set", "is_salient", "sparse_subsets", "fibonacci",

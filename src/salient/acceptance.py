@@ -143,11 +143,9 @@ def check_umbral() -> str:
     """The deumbralized series reproduces both known count families."""
     t0 = time.perf_counter()
     _check(series.g_umbral_series(1, 8) == F_SEQUENCE)
-    half_t2 = series.TPoly({2: Fraction(1, 2)})
-    expected_f = [series.TPoly.zero(), half_t2,
-                  half_t2 - series.TPoly({3: 1}),
-                  series.TPoly({4: 1}), series.TPoly({5: -1})]
-    _check(series.umbral_f_coefficients(2, 4) == expected_f)
+    expected_c = [{2: Fraction(1, 2)}, {2: Fraction(1, 2), 3: -1},
+                  {4: 1}, {5: -1}]
+    _check([series.c_poly(m, 2) for m in range(1, 5)] == expected_c)
     got = series.g_umbral_series(2, 4)
     brute = []
     for n in range(5):

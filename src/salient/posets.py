@@ -30,6 +30,8 @@ DEFAULT_EXTENSION_COUNT_SIZE = 20
 DEFAULT_DESCENT_SIZE = 14
 DEFAULT_FLAG_RANK = 20
 DEFAULT_NATURAL_SWEEP = 7
+GRADED_SWEEP_RANK = 5
+GRADED_SWEEP_SIZE = 10
 
 
 def _iter_bits(mask: int):
@@ -902,9 +904,8 @@ def _iso_sweep(max_n: int):
         yield reps
 
 
-def all_bounded_graded_posets(max_rank: int, max_size: int,
-                              guard_rank: int = 5,
-                              guard_size: int = 10) -> list[GradedPoset]:
+def all_bounded_graded_posets(max_rank: int,
+                              max_size: int) -> list[GradedPoset]:
     """Every bounded graded poset with rank <= max_rank and at most max_size
     elements, one representative per isomorphism class.
 
@@ -918,10 +919,10 @@ def all_bounded_graded_posets(max_rank: int, max_size: int,
     two interiors are isomorphic, so neither are the results. The list is
     ordered by size and then by the order of the sweep.
     """
-    if max_rank > guard_rank or max_size > guard_size:
+    if max_rank > GRADED_SWEEP_RANK or max_size > GRADED_SWEEP_SIZE:
         raise GuardExceeded(
-            f"exhaustive graded sweep limited to rank {guard_rank} "
-            f"and {guard_size} elements")
+            f"exhaustive graded sweep limited to rank {GRADED_SWEEP_RANK} "
+            f"and {GRADED_SWEEP_SIZE} elements")
     out: list[GradedPoset] = []
     for n, interiors in enumerate(_iso_sweep(max_size - 2)):
         for interior in interiors:

@@ -9,29 +9,27 @@ only be produced by componentwise-bounded factors).
 
 Series are inverted coefficient by coefficient, by a triangular recurrence
 over the exponents in lexicographic order (see TruncatedSeries.inverse). That
-one inverse serves cf_series, multiset_count_cf, expand_rational in one or
-more variables, and so mfenum.u_bivariate. For the commutation series
+one inverse serves cf_series, multiset_count_cf, g_umbral_series (1/(1 - F),
+F a series in x and the umbral variable t), expand_rational in one or more
+variables, and so mfenum.u_bivariate. For the commutation series
 1/(1 - sum x_i + sum x_i x_{i+1}), the Cartier-Foata clique series of a trace
 monoid, the recurrence reads
 
     c(e) = sum_i c(e - e_i) - sum_i c(e - e_i - e_{i+1}),  c(0) = 1.
-
-g_umbral_series solves 1/(1 - F) in x by the same recurrence, with
-polynomials in t as coefficients.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Iterator
 
 from salient.errors import DomainError, GuardExceeded, InternalConsistencyError
 from salient.words import MultisetSpec
 
 DEFAULT_CF_TOTAL_CAP = 24
-DEFAULT_PROFILE_CAP = 200
+CF_BOX_CAP = 10_000
+PROFILE_CAP = 200
 DEFAULT_UMBRAL_ORDER_CAP = 100
 
 
@@ -52,6 +50,20 @@ def _exponent_box(caps, total_cap=None) -> list[tuple[int, ...]]:
                for k in range(cap + 1 if total_cap is None
                               else min(cap, total_cap - degree) + 1)]
     return [exps for exps, _ in box]
+
+
+def _check_box(caps, total_cap) -> None:
+    """Refuse an _exponent_box(caps, total_cap) of more than CF_BOX_CAP
+    entries, counted by total degree (ways[d]) without building it."""
+    ways = [1]
+    for cap in caps:
+        cap = min(cap, CF_BOX_CAP)
+        acc = [0, *itertools.accumulate(ways)]
+        ways = [acc[min(d + 1, len(ways))] - acc[max(0, d - cap)]
+                for d in range(min(len(ways) - 1 + cap, total_cap) + 1)]
+        if sum(ways) > CF_BOX_CAP:
+            raise GuardExceeded(f"exponent box of at least {sum(ways)} "
+                                f"entries exceeds limit {CF_BOX_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +301,7 @@ def cf_series(n: int, caps, max_total=DEFAULT_CF_TOTAL_CAP,
     if effective > max_total:
         raise GuardExceeded(
             f"total cap {effective} exceeds limit {max_total}")
+    _check_box(caps, effective)
     variables = tuple(f"x{i}" for i in range(1, n + 1))
     terms: dict[tuple[int, ...], int] = {(0,) * n: 1}
     for i in range(n):
@@ -361,192 +374,58 @@ def f4_t_coefficient(h: int, i: int, j: int, k: int, t: int):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in the umbral indeterminate
+# the umbral pipeline
 # ---------------------------------------------------------------------------
 
-class TPoly:
-    """Polynomial in one indeterminate t with exact rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        stored: dict[int, object] = {}
-        for m, v in dict(coeffs or {}).items():
-            if m < 0:
-                raise DomainError("t-exponents must be >= 0")
-            v = _norm(v)
-            if v:
-                stored[m] = v
-        object.__setattr__(self, "coeffs", stored)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "TPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "TPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def term(cls, value, m: int) -> "TPoly":
-        return cls({m: value})
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        out = dict(self.coeffs)
-        for m, v in other.coeffs.items():
-            out[m] = out.get(m, 0) + v
-        return TPoly(out)
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        out = dict(self.coeffs)
-        for m, v in other.coeffs.items():
-            out[m] = out.get(m, 0) - v
-        return TPoly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, TPoly):
-            out: dict[int, object] = {}
-            for m1, v1 in self.coeffs.items():
-                for m2, v2 in other.coeffs.items():
-                    out[m1 + m2] = out.get(m1 + m2, 0) + v1 * v2
-            return TPoly(out)
-        return TPoly({m: v * other for m, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TPoly":
-        return TPoly({m: -v for m, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, TPoly) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=-1)
-
-    def terms(self) -> list[tuple[int, object]]:
-        return sorted(self.coeffs.items())
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "TPoly(0)"
-        body = " + ".join(f"({v})t^{m}" for m, v in self.terms())
-        return f"TPoly({body})"
+def phi(p: dict[int, object]):
+    """The linear functional t^m -> m! on a {t-exponent: coefficient} dict."""
+    return _norm(sum(Fraction(v) * math.factorial(m) for m, v in p.items()))
 
 
-def phi(p: TPoly):
-    """The linear functional sending t^m to m!, applied to a polynomial."""
-    return _norm(sum((Fraction(v, 1) * math.factorial(m)
-                      for m, v in p.coeffs.items()), Fraction(0)))
+def _profile_guard(m: int, k: int) -> None:
+    if m * k > PROFILE_CAP:
+        raise GuardExceeded(f"m*k = {m * k} exceeds limit {PROFILE_CAP}")
 
 
-# ---------------------------------------------------------------------------
-# connected level profiles and their weight polynomials
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LevelProfile:
-    """A connected degree-k graph on vertices 1..m whose edges are loops or
-    join consecutive vertices: loops[i] loops at vertex i+1 and edges[i]
-    parallel edges between vertices i+1 and i+2 (edges[i] >= 1).
-    """
-
-    loops: tuple[int, ...]
-    edges: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.loops)
-
-    @property
-    def nu(self) -> int:
-        """Number of non-loop edges."""
-        return sum(self.edges)
-
-    @property
-    def r(self) -> int:
-        """Total number of edges, loops included."""
-        return sum(self.loops) + sum(self.edges)
-
-    def weight(self) -> TPoly:
-        """(-1)^nu t^r / (prod loops! * prod edges!)."""
-        den = 1
-        for mu in self.loops:
-            den *= math.factorial(mu)
-        for e in self.edges:
-            den *= math.factorial(e)
-        value = Fraction((-1) ** self.nu, den)
-        return TPoly.term(value, self.r)
-
-
-def level_profiles(m: int, k: int) -> Iterator[LevelProfile]:
-    """All level profiles with m vertices and uniform degree k (loops count 1)."""
-    if m < 1 or k < 1:
-        raise DomainError("m and k must be >= 1")
-    if m == 1:
-        yield LevelProfile(loops=(k,), edges=())
-        return
-
-    def rec(prev: int, chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        # prev is the edge multiplicity entering the current vertex
-        position = len(chosen)
-        if position == m - 1:
-            if k - prev >= 0:
-                yield chosen
-            return
-        for e in range(1, k - prev + 1):
-            yield from rec(e, chosen + (e,))
-
-    for edges in rec(0, ()):
-        loops = []
-        for i in range(m):
-            left = edges[i - 1] if i > 0 else 0
-            right = edges[i] if i < m - 1 else 0
-            loops.append(k - left - right)
-        yield LevelProfile(loops=tuple(loops), edges=edges)
-
-
-def c_poly(m: int, k: int, max_profile=DEFAULT_PROFILE_CAP) -> TPoly:
+def c_poly(m: int, k: int) -> dict[int, object]:
     """Sum of profile weights: the x^m coefficient of the connected-block
-    generating function F(x, t) for degree k. Zero when no profile exists.
+    generating function F(x, t) for degree k, as {t-exponent: coefficient}
+    with no zero entries. Empty when no profile exists.
+
+    A level profile is a connected degree-k graph on vertices 1..m whose
+    edges are loops or join consecutive vertices: e_i >= 1 parallel edges
+    join vertices i and i+1, and vertex i carries k - e_{i-1} - e_i >= 0
+    loops. Its weight is (-1)^nu t^r / (prod loops! * prod e_i!), where nu
+    = sum e_i and r = mk - nu counts every edge.
     """
     if m < 1 or k < 1:
         raise DomainError("m and k must be >= 1")
-    if m * k > max_profile:
-        raise GuardExceeded(f"m*k = {m * k} exceeds limit {max_profile}")
-    total = TPoly.zero()
-    for profile in level_profiles(m, k):
-        total = total + profile.weight()
-    return total
-
-
-def umbral_f_coefficients(k: int, order: int,
-                          max_profile=DEFAULT_PROFILE_CAP) -> list[TPoly]:
-    """Coefficients of x^0..x^order of F(x, t) = sum_m c_poly(m, k) x^m."""
-    out = [TPoly.zero()]
-    for m in range(1, order + 1):
-        out.append(c_poly(m, k, max_profile=max_profile))
-    return out
+    _profile_guard(m, k)
+    # one vertex at a time over the states (edges into the next vertex, nu);
+    # loops + e_i <= k at each vertex, so k!/(loops! e_i!) is an integer and
+    # the states carry k!^vertices times their weight sums
+    fact = [math.factorial(i) for i in range(k + 1)]
+    states = {(0, 0): 1}
+    for vertex in range(m):
+        last = vertex == m - 1
+        step: dict[tuple[int, int], int] = {}
+        for (e_in, nu), value in states.items():
+            for e_out in (0,) if last else range(1, k - e_in + 1):
+                w = value * (fact[k] // (fact[k - e_in - e_out] * fact[e_out]))
+                step[e_out, nu + e_out] = step.get((e_out, nu + e_out), 0) + w
+        states = step
+    return {m * k - nu: _norm(Fraction((-1) ** nu * value, fact[k] ** m))
+            for (_, nu), value in states.items()}
 
 
 def g_umbral_series(k: int, order: int,
-                    max_order=DEFAULT_UMBRAL_ORDER_CAP,
-                    max_profile=DEFAULT_PROFILE_CAP) -> list[int]:
+                    max_order=DEFAULT_UMBRAL_ORDER_CAP) -> list[int]:
     """Class counts for the multisets {1^k, ..., n^k}, n = 0..order.
 
-    Builds F(x, t) from the connected level profiles, inverts 1 - F as a
-    series in x with polynomial coefficients in one pass of the recurrence
-    G_0 = 1, G_i = sum_{a=1..i} F_a G_{i-a}, and applies the functional
-    t^m -> m! coefficientwise. Every resulting value must be a nonnegative
-    integer; anything else means the pipeline is internally inconsistent and
-    raises.
+    Builds F(x, t) = sum_m c_poly(m, k) x^m, inverts 1 - F with
+    TruncatedSeries.inverse and applies phi (t^m -> m!) to each x-row. Each
+    result must be a nonnegative integer; anything else means the pipeline
+    is internally inconsistent and raises.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -554,19 +433,20 @@ def g_umbral_series(k: int, order: int,
         raise DomainError("order must be >= 0")
     if order > max_order:
         raise GuardExceeded(f"order {order} exceeds limit {max_order}")
-    F = umbral_f_coefficients(k, order, max_profile=max_profile)
-    G = [TPoly.one()]
-    for i in range(1, order + 1):
-        acc = TPoly.zero()
-        for a in range(1, i + 1):
-            if not F[a].is_zero():
-                acc = acc + F[a] * G[i - a]
-        G.append(acc)
-    values = []
-    for i, poly in enumerate(G):
-        v = phi(poly)
+    # refuse up front, as c_poly would at the first block over the cap
+    _profile_guard(min(order, PROFILE_CAP // k + 1), k)
+    # x^m has t-exponents <= mk; F(k! x, t) has integer coefficients (see
+    # c_poly), so the inverse runs on ints, its x^i row scaled by k!^i
+    scale = math.factorial(k)
+    F = TruncatedSeries(("x", "t"), (order, k * order),
+                        {(m, j): v * scale ** m for m in range(1, order + 1)
+                         for j, v in c_poly(m, k).items()})
+    rows: list[dict[int, object]] = [{} for _ in range(order + 1)]
+    for (i, j), v in (1 - F).inverse().coeffs.items():
+        rows[i][j] = Fraction(v, scale ** i)
+    values = [phi(row) for row in rows]
+    for i, v in enumerate(values):
         if not isinstance(v, int) or v < 0:
             raise InternalConsistencyError(
                 f"umbral coefficient of x^{i} is {v}, not a nonnegative integer")
-        values.append(v)
     return values

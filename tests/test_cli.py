@@ -118,6 +118,15 @@ def test_umbral(capsys):
     assert code == 0 and out == "1 1 1 2 8 42 258 1824 14664\n"
     code, out, _ = run(capsys, "umbral", "--k", "2", "--upto", "4")
     assert out == "1 1 1 6 216\n"
+    code, out, _ = run(capsys, "umbral", "--k", "2", "--upto", "4",
+                       "--format", "json")
+    assert code == 0 and out == '["1", "1", "1", "6", "216"]\n'
+
+
+def test_umbral_profile_guard(capsys):
+    code, out, err = run(capsys, "umbral", "--k", "3", "--upto", "67")
+    assert code == 2 and out == ""
+    assert err == "error: m*k = 201 exceeds limit 200\n"
 
 
 def test_poset_beta_gamma(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from salient import series
 from salient.classes import multiset_class_partition
 from salient.errors import DomainError, GuardExceeded
-from salient.series import (LevelProfile, TPoly, TruncatedSeries, c_poly,
-                            cf_series, expand_rational, f4_coefficient,
-                            f4_t_coefficient, falling_factorial,
-                            g_umbral_series, level_profiles,
-                            multiset_count_cf, phi, umbral_f_coefficients)
+from salient.series import (TruncatedSeries, c_poly, cf_series,
+                            expand_rational, f4_coefficient, f4_t_coefficient,
+                            falling_factorial, g_umbral_series,
+                            multiset_count_cf, phi)
 from salient.words import MultisetSpec
 
 F_SEQ = [1, 1, 1, 2, 8, 42, 258, 1824, 14664]
@@ -124,6 +125,18 @@ def test_multiset_count_cf_examples():
         multiset_count_cf(MultisetSpec.parse("1:13,2:13"))
 
 
+def test_cf_series_box_guard():
+    # 24 distinct letters pass the total cap but ask for a 2^24-entry box
+    distinct = MultisetSpec.from_mapping({v: 1 for v in range(1, 25)})
+    with pytest.raises(GuardExceeded, match="exponent box of at least"):
+        multiset_count_cf(distinct)
+    assert multiset_count_cf(
+        MultisetSpec.from_mapping({v: 1 for v in range(1, 8)})) == F_SEQ[7]
+    # a total cap shrinks the box: 210 of the 5^6 exponents have total <= 4
+    capped = cf_series(6, (4,) * 6, total_cap=4)
+    assert len(capped.coeffs) == math.comb(10, 6)
+
+
 def test_multiset_count_cf_matches_bfs():
     # every multiset over the values 1..4 (gaps included) of total <= 7
     for counts in itertools.product(range(8), repeat=4):
@@ -182,50 +195,45 @@ def test_falling_factorial():
     assert falling_factorial(0, 2) == 0
 
 
-def test_level_profiles_invariants():
-    for m in range(1, 6):
-        for k in range(1, 5):
-            for p in level_profiles(m, k):
-                assert len(p.loops) == m
-                assert all(e >= 1 for e in p.edges)
-                assert all(mu >= 0 for mu in p.loops)
-                degrees = []
-                for i in range(m):
-                    left = p.edges[i - 1] if i > 0 else 0
-                    right = p.edges[i] if i < m - 1 else 0
-                    degrees.append(p.loops[i] + left + right)
-                assert degrees == [k] * m
-                assert p.r == k * m - p.nu
+def test_c_poly_against_profile_enumeration():
+    # oracle: list the edge tuples e_1..e_{m-1} >= 1 and sum
+    # (-1)^nu t^r / (prod loops! * prod e_i!), r = loops + nu edges in all,
+    # over those whose loop counts k - e_{i-1} - e_i are all >= 0
+    for m in range(1, 7):
+        for k in range(1, 6):
+            want = {}
+            for edges in itertools.product(range(1, k + 1), repeat=m - 1):
+                padded = (0,) + edges + (0,)
+                loops = [k - padded[i] - padded[i + 1] for i in range(m)]
+                if min(loops) < 0:
+                    continue
+                nu = sum(edges)
+                den = 1
+                for part in loops + list(edges):
+                    den *= math.factorial(part)
+                r = sum(loops) + nu
+                want[r] = want.get(r, 0) + Fraction((-1) ** nu, den)
+            want = {r: v for r, v in want.items() if v}
+            assert c_poly(m, k) == want, (m, k)
 
 
 def test_c_poly_reference_values():
-    half_t2 = TPoly({2: Fraction(1, 2)})
-    assert c_poly(1, 2) == half_t2
-    assert c_poly(2, 2) == half_t2 - TPoly({3: 1})
-    assert c_poly(3, 2) == TPoly({4: 1})
-    assert c_poly(4, 2) == TPoly({5: -1})
-    assert c_poly(1, 1) == TPoly({1: 1})
-    assert c_poly(2, 1) == TPoly({1: -1})
-    assert c_poly(3, 1) == TPoly.zero()
+    assert c_poly(1, 2) == {2: Fraction(1, 2)}
+    assert c_poly(2, 2) == {2: Fraction(1, 2), 3: -1}
+    assert c_poly(3, 2) == {4: 1}
+    assert c_poly(4, 2) == {5: -1}
+    assert c_poly(1, 1) == {1: 1}
+    assert c_poly(2, 1) == {1: -1}
+    assert c_poly(3, 1) == {}
     with pytest.raises(GuardExceeded):
         c_poly(300, 1)
 
 
 def test_phi_examples():
-    assert phi(TPoly({2: 1})) == 2
-    assert phi(TPoly({2: Fraction(1, 2), 3: -1})) == -5
-    assert phi(TPoly.one()) == 1
-    assert phi(TPoly.zero()) == 0
-
-
-def test_tpoly_arithmetic():
-    t = TPoly({1: 1})
-    assert (t * t).terms() == [(2, 1)]
-    assert (t + t).terms() == [(1, 2)]
-    assert (t - t).is_zero()
-    assert (-t).terms() == [(1, -1)]
-    assert (3 * t).terms() == [(1, 3)]
-    assert TPoly({3: 1}).degree() == 3
+    assert phi({2: 1}) == 2
+    assert phi({2: Fraction(1, 2), 3: -1}) == -5
+    assert phi({0: 1}) == 1
+    assert phi({}) == 0
 
 
 def test_g_umbral_series():
@@ -236,19 +244,28 @@ def test_g_umbral_series():
         g_umbral_series(1, 300)
 
 
+def test_g_umbral_series_guard_builds_no_block(monkeypatch):
+    # refused up front, with the message c_poly(67, 3) would give
+    def no_block(m, k):
+        raise AssertionError(f"c_poly({m}, {k}) called")
+
+    monkeypatch.setattr(series, "c_poly", no_block)
+    with pytest.raises(GuardExceeded, match=r"^m\*k = 201 exceeds limit 200$"):
+        g_umbral_series(3, 67)
+
+
+def test_g_umbral_series_completes_at_order_30():
+    # every coefficient passes the nonnegative-integer consistency check
+    values = g_umbral_series(3, 30)
+    assert len(values) == 31 and values[:5] == g_umbral_series(3, 4)
+
+
 def test_g_umbral_series_matches_bfs():
     for k in range(1, 9):
         for n in range(1, 8 // k + 1):
             spec = MultisetSpec.from_mapping({v: k for v in range(1, n + 1)})
             assert g_umbral_series(k, n)[n] == len(
                 multiset_class_partition(spec)), (k, n)
-
-
-def test_umbral_f_truncation_for_pairs():
-    half_t2 = TPoly({2: Fraction(1, 2)})
-    assert umbral_f_coefficients(2, 4) == [
-        TPoly.zero(), half_t2, half_t2 - TPoly({3: 1}),
-        TPoly({4: 1}), TPoly({5: -1})]
 
 
 def test_umbral_matches_f4_diagonal():
