@@ -39,9 +39,10 @@ def _classes_payload(partition, members_limit: int) -> list[dict]:
     return out
 
 
-def _print_classes(args, partition) -> None:
+def _print_classes(args, head: dict, partition) -> None:
+    """Print a partition; JSON output starts with the fields of head."""
     if args.format == "json":
-        payload = {"n": args.n, "classes":
+        payload = {**head, "classes":
                    _classes_payload(partition, args.members_limit)}
         print(json.dumps(payload))
     else:
@@ -58,7 +59,7 @@ def cmd_classes(args) -> int:
     partition = classes.class_partition(
         args.n, args.relation,
         max_n=args.limit if args.limit is not None else classes.DEFAULT_BRUTE_N)
-    _print_classes(args, partition)
+    _print_classes(args, {"n": args.n}, partition)
     return 0
 
 
@@ -121,15 +122,7 @@ def cmd_multiset(args) -> int:
     max_total = (args.limit if args.limit is not None
                  else classes.DEFAULT_MULTISET_TOTAL)
     partition = classes.multiset_class_partition(spec, max_total=max_total)
-    if args.format == "json":
-        payload = {"spec": spec.format(), "classes":
-                   _classes_payload(partition, args.members_limit)}
-        print(json.dumps(payload))
-    else:
-        for cls in partition:
-            body = " ".join(words.format_word(w) for w in cls.members)
-            print(f"{words.format_word(cls.representative)} "
-                  f"size={cls.size}: {body}")
+    _print_classes(args, {"spec": spec.format()}, partition)
     return 0
 
 

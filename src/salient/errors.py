@@ -1,8 +1,15 @@
 """Shared exception types.
 
-Guard limits are configuration, not hard constants: exceeding one raises
-GuardExceeded (CLI exit code 2) and is never silently truncated. Malformed
-input raises DomainError (CLI exit code 1).
+Exceeding a guard raises GuardExceeded (CLI exit code 2); nothing is ever
+silently truncated. The DEFAULT_* guards are keyword defaults that callers
+may override, and the CLI's --limit adjusts one per subcommand: the
+brute-force n cap (classes, count --method bfs, singletons), the orbit
+member cap (class), the multiset and cf size caps, the umbral order cap and
+the extension-count size cap (poset extensions). The other guards are fixed
+module constants: series.CF_BOX_CAP and series.PROFILE_CAP,
+posets.GRADED_SWEEP_RANK and posets.GRADED_SWEEP_SIZE, and mfenum.MAX_RANK,
+mfenum.MAX_ELEMENTS and mfenum.MAX_FAMILY. Malformed input raises
+DomainError (CLI exit code 1).
 """
 
 
@@ -15,7 +22,7 @@ class DomainError(SalientError, ValueError):
 
 
 class GuardExceeded(SalientError):
-    """A configurable size or limit guard was exceeded."""
+    """A size or limit guard was exceeded."""
 
 
 class OrbitOverflowError(GuardExceeded):

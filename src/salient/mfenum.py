@@ -9,30 +9,36 @@ the only choice above a singleton or the bottom), M (a matching), or P or
 P' (three covers: one upper element covers both lower ones, and one lower
 element is covered twice). In P that lower element is the one the block's
 previous three-cover join, carried up through M joins, left covering both;
-in P' it is the other.
+in P' it is the other. posets.level_word_poset assembles a word's poset.
 
 The ordinal-sum cuts fall at the singletons and K joins, so each run of pairs
 linked by M, P and P' is an indecomposable block. Its first three-cover join
 refers to nothing and is always P: a block of L levels has 1 + (3^(L-1) - 1)/2
 forms, and distinct words give non-isomorphic posets. A block K P x3 ... xm
-with no M is the interior of lattice_from_gamma(g) for an m-bit gamma word:
-the first P is the forced bits 01, each later join is P where g changes bit
-and P' where it repeats one (0101... is all P), and an M join above pair
-level i is GradedPoset.stretch(i). The distributive case (ideal lattices)
-mirrors this on natural posets, whose blocks are the q_from_gamma posets.
+with no M is the interior of lattice_from_gamma(g) for an m-bit gamma word
+(each later join is P where g changes bit and P' where it repeats one), and
+an M join above pair level i is GradedPoset.stretch(i).
+
+The distributive members are the lattice words: no M, and K only over the
+bottom or a singleton, so every block is an L(gamma). The distributive case
+of the paper (ideal lattices J(P) with multiplicity-free flag h-vectors) is
+the family of their join-irreducible posets P, ordinal sums of q_gamma blocks.
+
+The guards are module constants: MAX_RANK and MAX_ELEMENTS bound the level
+words, MAX_FAMILY the distributive family.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
 from salient.errors import DomainError, GuardExceeded
-from salient.posets import GradedPoset, NaturalPoset, gamma_words, q_from_gamma
+from salient.posets import (GradedPoset, NaturalPoset, join_irreducibles,
+                            level_word_poset)
 from salient.series import TruncatedSeries, expand_rational
 
-DEFAULT_MAX_RANK = 10
-DEFAULT_MAX_ELEMENTS = 16
-DEFAULT_MAX_FAMILY = 10
+MAX_RANK = 10
+MAX_ELEMENTS = 16
+MAX_FAMILY = 10
 
 
 def g_blocks(n: int) -> int:
@@ -50,54 +56,34 @@ def distributive_count_series(order: int) -> list[int]:
     return expand_rational([1, -2], [1, -3, 1, 1], order)
 
 
-@lru_cache(maxsize=None)
-def distributive_blocks(m: int) -> tuple[NaturalPoset, ...]:
-    """The indecomposable m-element members: join-irreducible posets of the
-    two-per-rank lattices."""
-    return tuple(q_from_gamma(g) for g in gamma_words(m))
-
-
-def distributive_mf_family(n: int,
-                           max_n: int = DEFAULT_MAX_FAMILY
-                           ) -> list[NaturalPoset]:
+def distributive_mf_family(n: int) -> list[NaturalPoset]:
     """All n-element posets (one per isomorphism class) whose ideal lattice
-    has a multiplicity-free flag h-vector, built as ordinal sums of blocks."""
+    has a multiplicity-free flag h-vector: the join-irreducible posets of the
+    rank-n lattice words (n = 0 gives the empty poset)."""
+    if not n:
+        return [NaturalPoset(0, ())]
+    return [join_irreducibles(level_word_poset(word))
+            for word in _lattice_words(n)]
+
+
+def count_distributive_mf(n: int) -> int:
+    """Size of distributive_mf_family(n), tallied without any poset."""
+    return len(_lattice_words(n)) if n else 1
+
+
+def _lattice_words(n: int) -> list[tuple[str, ...]]:
+    """The level words of the rank-n distributive lattices of the family."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    if n > max_n:
-        raise GuardExceeded(f"family generation limited to n <= {max_n}")
-    out: list[NaturalPoset] = []
-
-    def rec(prefix: NaturalPoset, remaining: int) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for m in range(1, remaining + 1):
-            for block in distributive_blocks(m):
-                rec(prefix.ordinal_sum(block), remaining - m)
-
-    rec(NaturalPoset(0, ()), n)
-    return out
-
-
-def count_distributive_mf(n: int, max_n: int = DEFAULT_MAX_FAMILY) -> int:
-    return len(distributive_mf_family(n, max_n=max_n))
+    if n > MAX_FAMILY:
+        raise GuardExceeded(f"family generation limited to n <= {MAX_FAMILY}")
+    return [word for word in _level_words("rank", n, _LATTICE_JOINS)
+            if len(word) == n - 1]
 
 
 # ---------------------------------------------------------------------------
-# general graded posets: level words
+# level words
 # ---------------------------------------------------------------------------
-
-# The covers into a level, by its join and the size of the level below, as
-# offsets (a, b) from the first element of each level. A singleton level and
-# K are complete; M keeps indices; P and P' leave upper element 0 covering
-# both lower ones.
-_COVERS = {("1", 1): ((0, 0),), ("1", 2): ((0, 0), (1, 0)),
-           ("K", 1): ((0, 0), (0, 1)),
-           ("K", 2): ((0, 0), (0, 1), (1, 0), (1, 1)),
-           ("M", 2): ((0, 0), (1, 1)),
-           ("P", 2): ((0, 0), (0, 1), (1, 0)),
-           ("P'", 2): ((0, 0), (1, 0), (1, 1))}
 
 # The joins a two-element level may take after a word, by the word's state,
 # each with the state it leaves: None when the word ends in a singleton (or
@@ -106,20 +92,25 @@ _PAIR_JOINS = {None: (("K", False),),
                False: (("K", False), ("M", False), ("P", True)),
                True: (("K", False), ("M", True), ("P", True), ("P'", True))}
 
+# The same for the lattice words: no M, and K only where the word is empty or
+# ends in a singleton.
+_LATTICE_JOINS = {None: (("K", False),), False: (("P", True),),
+                  True: (("P", True), ("P'", True))}
 
-def _level_words(by: str, bound: int, max_rank: int = DEFAULT_MAX_RANK,
-                 max_elements: int = DEFAULT_MAX_ELEMENTS
+
+def _level_words(by: str, bound: int, joins=_PAIR_JOINS
                  ) -> Iterator[tuple[str, ...]]:
-    """Every level word up to the bound, by ascending rank (its length plus
-    one) or element count (its level sizes plus two), each weight listed
-    depth-first: a level weighs 1 by rank and its size by elements."""
+    """Every level word up to the bound whose pair joins follow the table
+    joins, by ascending rank (its length plus one) or element count (its
+    level sizes plus two), each weight listed depth-first: a level weighs 1
+    by rank and its size by elements."""
     if by == "rank":
-        if bound > max_rank:
-            raise GuardExceeded(f"rank bound {bound} exceeds {max_rank}")
+        if bound > MAX_RANK:
+            raise GuardExceeded(f"rank bound {bound} exceeds {MAX_RANK}")
         totals, pair = bound, 1
     elif by == "elements":
-        if bound > max_elements:
-            raise GuardExceeded(f"element bound {bound} exceeds {max_elements}")
+        if bound > MAX_ELEMENTS:
+            raise GuardExceeded(f"element bound {bound} exceeds {MAX_ELEMENTS}")
         totals, pair = bound - 1, 2
     else:
         raise DomainError(f"unknown enumeration mode {by!r}")
@@ -133,60 +124,44 @@ def _level_words(by: str, bound: int, max_rank: int = DEFAULT_MAX_RANK,
             stack.append((word + ("1",), None, left - 1))
             if left >= pair:
                 stack += [(word + (join,), after, left - pair)
-                          for join, after in _PAIR_JOINS[state]]
+                          for join, after in joins[state]]
 
 
 def _size(word: tuple[str, ...]) -> int:
     return 2 + sum(1 if join == "1" else 2 for join in word)
 
 
-def _assemble(word: tuple[str, ...]) -> GradedPoset:
-    """The bounded graded poset of one level word; the top is one more
-    singleton level."""
-    ranks = [0]
-    covers: list[tuple[int, int]] = []
-    low, size = 0, 1  # the first element and size of the level below
-    for r, join in enumerate(word + ("1",), 1):
-        e = len(ranks)
-        covers += [(low + a, e + b) for a, b in _COVERS[join, size]]
-        low, size = e, 1 if join == "1" else 2
-        ranks += [r] * size
-    return GradedPoset(ranks, covers)
-
-
-def generate_mf_posets(by: str = "rank", bound: int = 8,
-                       max_rank: int = DEFAULT_MAX_RANK,
-                       max_elements: int = DEFAULT_MAX_ELEMENTS
+def generate_mf_posets(by: str = "rank", bound: int = 8
                        ) -> Iterator[GradedPoset]:
     """All bounded graded posets with at most two elements per rank, hence
     exactly the multiplicity-free ones, up to the bound on rank ("rank") or
     element count ("elements"), one per isomorphism class: one per level
     word, so nothing is canonicalized; tests/test_mfenum.py
     (test_generated_mf_posets_pairwise_non_isomorphic) asserts it."""
-    for word in _level_words(by, bound, max_rank, max_elements):
-        yield _assemble(word)
+    for word in _level_words(by, bound):
+        yield level_word_poset(word)
 
 
-def mf_counts_by_rank(max_rank_bound: int, **kwargs) -> list[int]:
+def mf_counts_by_rank(max_rank_bound: int) -> list[int]:
     """Counts for each rank 1..max_rank_bound, tallied without any poset."""
     out = [0] * (max_rank_bound + 1)
-    for word in _level_words("rank", max_rank_bound, **kwargs):
+    for word in _level_words("rank", max_rank_bound):
         out[len(word) + 1] += 1
     return out[1:]
 
 
-def mf_counts_by_elements(max_element_bound: int, **kwargs) -> list[int]:
+def mf_counts_by_elements(max_element_bound: int) -> list[int]:
     """Counts of the family for each size 2..max_element_bound."""
     out = [0] * (max_element_bound + 1)
-    for word in _level_words("elements", max_element_bound, **kwargs):
+    for word in _level_words("elements", max_element_bound):
         out[_size(word)] += 1
     return out[2:]
 
 
-def mf_rank_element_table(max_rank_bound: int, **kwargs) -> dict[tuple[int, int], int]:
+def mf_rank_element_table(max_rank_bound: int) -> dict[tuple[int, int], int]:
     """Counts keyed by (rank, element count), over the words by rank."""
     table: dict[tuple[int, int], int] = {}
-    for word in _level_words("rank", max_rank_bound, **kwargs):
+    for word in _level_words("rank", max_rank_bound):
         key = (len(word) + 1, _size(word))
         table[key] = table.get(key, 0) + 1
     return table

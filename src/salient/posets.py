@@ -1,6 +1,6 @@
 """Graded posets, natural partial orders, flag f/h-vectors, order-ideal
-lattices, the two-per-rank lattice family L(gamma), and the stretching and
-proliferation constructions.
+lattices, the two-per-rank family (level words, the lattices L(gamma) and
+their join-irreducibles), and the stretching and proliferation constructions.
 
 Conventions:
 
@@ -216,12 +216,6 @@ class GradedPoset:
 
     def layer_sizes(self) -> tuple[int, ...]:
         return tuple(len(layer) for layer in self.layers())
-
-    def up_covers(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.size)]
-        for lo, hi in self.covers:
-            out[lo].append(hi)
-        return out
 
     def down_covers(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.size)]
@@ -579,9 +573,6 @@ class NaturalPoset:
         ideals.sort(key=lambda m: (bin(m).count("1"), m))
         return ideals
 
-    def ideal_count(self) -> int:
-        return len(self.ideal_masks())
-
     def ideal_size_profile(self) -> tuple[int, ...]:
         """Number of ideals of each size 0..n."""
         out = [0] * (self.n + 1)
@@ -679,13 +670,6 @@ class NaturalPoset:
                 f"descent tabulation limited to {max_size} elements")
         return _kernels.descent_vector(self.n, self.down)
 
-    def descent_statistics(self,
-                           max_size: int = DEFAULT_DESCENT_SIZE
-                           ) -> dict[frozenset[int], int]:
-        vec = self.descent_vector(max_size=max_size)
-        return {ranks_from_mask(mask): count
-                for mask, count in enumerate(vec) if count}
-
     # -- order-theoretic predicates
 
     def is_two_plus_two_free(self) -> bool:
@@ -747,7 +731,12 @@ def are_isomorphic(first, second, max_size: int = DEFAULT_ISO_SIZE) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# commutation posets and the gamma family
+# commutation posets and the two-per-rank family
+#
+# Every poset of the family is built from its level word by one assembler,
+# level_word_poset. L(gamma) is the word K P x3 ... xm of its gamma word, and
+# q_gamma is the poset of its join-irreducibles; salient.mfenum lists the
+# words themselves.
 # ---------------------------------------------------------------------------
 
 def q_from_commuting_word(n: int) -> NaturalPoset:
@@ -794,38 +783,59 @@ def gamma_words(rank: int) -> list[str]:
     return ["01" + t for t in tails]
 
 
-def lattice_from_gamma(gamma: str) -> GradedPoset:
-    """Build the rank-(len(gamma)+1) lattice with two elements per interior
-    rank by repeatedly adjoining an element over the left (bit 0) or right
-    (bit 1) coatom plus a new top.
+# The covers into a level, by its join and the size of the level below, as
+# offsets (a, b) from the first element of each level. A singleton level and
+# K are complete; M keeps indices; P and P' leave upper element 0 covering
+# both lower ones.
+_COVERS = {("1", 1): ((0, 0),), ("1", 2): ((0, 0), (1, 0)),
+           ("K", 1): ((0, 0), (0, 1)),
+           ("K", 2): ((0, 0), (0, 1), (1, 0), (1, 1)),
+           ("M", 2): ((0, 0), (1, 1)),
+           ("P", 2): ((0, 0), (0, 1), (1, 0)),
+           ("P'", 2): ((0, 0), (1, 0), (1, 1))}
 
-    The freshly adjoined element takes the side it was attached on; the old
-    top takes the other side. Under this orientation the alternating word
-    0101... yields the lattice of order ideals of q_from_commuting_word(n).
-    """
-    gamma = check_gamma(gamma)
-    ranks = [0, 1]
-    covers = [(0, 1)]
-    top = 1
-    left = right = 0
-    for bit in gamma:
-        c = left if bit == "0" else right
-        x = len(ranks)
-        ranks.append(ranks[c] + 1)
-        covers.append((c, x))
-        t = len(ranks)
-        ranks.append(ranks[top] + 1)
-        covers.append((x, t))
-        covers.append((top, t))
-        left, right = (x, top) if bit == "0" else (top, x)
-        top = t
+
+def level_word_poset(word: tuple[str, ...]) -> GradedPoset:
+    """The bounded graded poset of a level word (see salient.mfenum): one
+    token per interior level, bottom-up, "1" for a singleton and K, M, P or
+    P' for a pair by its join with the level below; the top is one more
+    singleton level."""
+    ranks = [0]
+    covers: list[tuple[int, int]] = []
+    low, size = 0, 1  # the first element and size of the level below
+    for r, join in enumerate(word + ("1",), 1):
+        e = len(ranks)
+        try:
+            covers += [(low + a, e + b) for a, b in _COVERS[join, size]]
+        except KeyError:
+            raise DomainError(f"join {join!r} cannot follow a level of "
+                              f"size {size}") from None
+        low, size = e, 1 if join == "1" else 2
+        ranks += [r] * size
     return GradedPoset(ranks, covers)
 
 
-def q_from_gamma(gamma: str) -> NaturalPoset:
-    """The poset of join-irreducible elements of lattice_from_gamma, with its
-    natural labeling along rank order."""
-    lattice = lattice_from_gamma(gamma)
+def lattice_from_gamma(gamma: str) -> GradedPoset:
+    """The rank-(len(gamma)+1) lattice with two elements per interior rank.
+
+    Each bit of gamma adjoins an element over the left (0) or right (1)
+    coatom, below a new top; the new element takes the side it was attached
+    on and the old top the other. As a level word this is K, then P for the
+    forced bits 01, then for each later bit P where it changes and P' where
+    it repeats, so the alternating word 0101... (all P) yields the lattice of
+    order ideals of q_from_commuting_word(n).
+    """
+    gamma = check_gamma(gamma)
+    word = ("K", "P")[:len(gamma)] + tuple(
+        "P" if bit != prev else "P'" for prev, bit in zip(gamma[1:], gamma[2:]))
+    return level_word_poset(word)
+
+
+def join_irreducibles(lattice: GradedPoset) -> NaturalPoset:
+    """The poset of join-irreducible elements (those with exactly one lower
+    cover) of a finite distributive lattice, labelled naturally along rank
+    order; by Birkhoff's theorem its ideal lattice is isomorphic to the
+    lattice."""
     down_counts = [0] * lattice.size
     for _, hi in lattice.covers:
         down_counts[hi] += 1
@@ -841,6 +851,11 @@ def q_from_gamma(gamma: str) -> NaturalPoset:
             if below[b] >> a & 1:
                 pairs.append((ia + 1, ib + 1))
     return NaturalPoset.from_relations(len(irreducibles), pairs)
+
+
+def q_from_gamma(gamma: str) -> NaturalPoset:
+    """The poset of join-irreducible elements of lattice_from_gamma."""
+    return join_irreducibles(lattice_from_gamma(gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -141,9 +141,6 @@ class TruncatedSeries:
     def terms(self) -> list[tuple[tuple[int, ...], object]]:
         return sorted(self.coeffs.items())
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     # -- arithmetic
 
     def _check(self, other: "TruncatedSeries") -> None:

@@ -94,6 +94,19 @@ def test_multiset(capsys):
     assert [c["size"] for c in payload["classes"]] == [6]
 
 
+def test_multiset_members_limit_in_text(capsys):
+    spec = ("multiset", "--spec", "1:2,2:1,3:2")
+    code, out, _ = run(capsys, *spec, "--members-limit", "1")
+    assert code == 0
+    assert out.splitlines() == [f"{rep} size=5" for rep in
+                                ("11233", "12313", "12331",
+                                 "23113", "23131", "23311")]
+    code, out, _ = run(capsys, *spec, "--members-limit", "5")
+    lines = out.splitlines()
+    assert len(lines) == 6
+    assert all(len(line.split(": ")[1].split()) == 5 for line in lines)
+
+
 def test_cf_json(capsys):
     code, out, _ = run(capsys, "cf", "--n", "3", "--caps", "1,1,1",
                        "--format", "json")

@@ -1,27 +1,46 @@
 import pytest
 
 from salient.errors import DomainError, GuardExceeded
-from salient.mfenum import (count_distributive_mf, distributive_blocks,
+from salient.mfenum import (_lattice_words, count_distributive_mf,
                             distributive_count_series, distributive_mf_family,
                             g_blocks, generate_mf_posets, mf_counts_by_elements,
                             mf_counts_by_rank, mf_rank_element_table,
                             u_bivariate)
 from salient.posets import (GradedPoset, all_bounded_graded_posets,
-                            are_isomorphic, gamma_words, q_from_commuting_word)
+                            all_posets_up_to_iso, are_isomorphic, gamma_words,
+                            q_from_commuting_word)
 
 
 def test_g_blocks():
     assert [g_blocks(n) for n in range(1, 8)] == [1, 1, 1, 2, 4, 8, 16]
     for n in range(1, 8):
-        assert g_blocks(n) == len(gamma_words(n)) == len(distributive_blocks(n))
+        # the indecomposable blocks are the lattice words with no singleton
+        blocks = sum("1" not in word for word in _lattice_words(n))
+        assert g_blocks(n) == len(gamma_words(n)) == blocks
     with pytest.raises(DomainError):
         g_blocks(0)
 
 
 def test_distributive_family_counts():
-    assert [count_distributive_mf(n) for n in range(1, 7)] == [
-        1, 2, 4, 9, 21, 50]
-    assert distributive_count_series(8) == [1, 1, 2, 4, 9, 21, 50, 120, 289]
+    assert ([count_distributive_mf(n) for n in range(11)]
+            == distributive_count_series(10)
+            == [1, 1, 2, 4, 9, 21, 50, 120, 289, 697, 1682])
+    with pytest.raises(GuardExceeded):
+        count_distributive_mf(11)
+    with pytest.raises(DomainError):
+        count_distributive_mf(-1)
+
+
+def test_distributive_family_against_the_iso_sweep():
+    # the family is the classes whose ideal lattice has at most two
+    # ideals of each size, swept independently of the level words
+    for n in range(8):
+        family = distributive_mf_family(n)
+        keys = {q.canonical_key() for q in family}
+        swept = {q.canonical_key() for q in all_posets_up_to_iso(n)
+                 if all(c <= 2 for c in q.ideal_size_profile())}
+        assert len(keys) == len(family) == count_distributive_mf(n)
+        assert keys == swept
 
 
 def test_distributive_family_members_qualify():

@@ -10,11 +10,12 @@ from salient.errors import DomainError, GuardExceeded
 from salient.posets import (GradedPoset, NaturalPoset, all_bounded_graded_posets,
                             all_natural_posets, all_posets_up_to_iso,
                             are_isomorphic, check_gamma, gamma_words,
-                            lattice_from_gamma, q_from_commuting_word,
-                            q_from_gamma, random_graded_poset)
+                            lattice_from_gamma, level_word_poset,
+                            q_from_commuting_word, q_from_gamma,
+                            random_graded_poset)
 from salient.mfenum import (count_distributive_mf, distributive_mf_family,
                             generate_mf_posets)
-from salient.words import descent_set, fibonacci, format_word, is_sparse
+from salient.words import fibonacci, format_word, is_sparse
 
 
 def chain(n):
@@ -217,16 +218,6 @@ def test_extension_count_examples():
         NaturalPoset.antichain(21).extension_count()
 
 
-def test_descent_statistics_against_direct_enumeration():
-    for q in all_natural_posets(5):
-        stats = q.descent_statistics()
-        direct = {}
-        for w in q.linear_extensions():
-            d = descent_set(w)
-            direct[d] = direct.get(d, 0) + 1
-        assert stats == direct
-
-
 def test_jq_flags_match_generic_lattice_flags():
     for n in range(6):
         for q in all_natural_posets(n):
@@ -259,6 +250,44 @@ def test_lattice_from_gamma_examples():
         L = lattice_from_gamma(gamma)
         assert L.is_bounded_graded()
         assert L.layer_sizes() == (1,) + (2,) * 5 + (1,)
+
+
+def _adjoined_lattice(gamma):
+    """L(gamma) by the adjoining construction, the oracle for
+    lattice_from_gamma: each bit adjoins an element over the left (0) or
+    right (1) coatom plus a new top; the new element takes the side it was
+    attached on and the old top the other."""
+    ranks = [0, 1]
+    covers = [(0, 1)]
+    top = 1
+    left = right = 0
+    for bit in gamma:
+        c = left if bit == "0" else right
+        x = len(ranks)
+        ranks.append(ranks[c] + 1)
+        covers.append((c, x))
+        t = len(ranks)
+        ranks.append(ranks[top] + 1)
+        covers.append((x, t))
+        covers.append((top, t))
+        left, right = (x, top) if bit == "0" else (top, x)
+        top = t
+    return GradedPoset(ranks, covers)
+
+
+def test_lattice_from_gamma_against_the_adjoining_construction():
+    for rank in range(1, 13):
+        for gamma in gamma_words(rank):
+            built, oracle = lattice_from_gamma(gamma), _adjoined_lattice(gamma)
+            assert ((built.ranks, built.covers, built.labels)
+                    == (oracle.ranks, oracle.covers, oracle.labels)), gamma
+
+
+def test_level_word_poset_rejects_bad_joins():
+    assert level_word_poset(("K", "M")).layer_sizes() == (1, 2, 2, 1)
+    for word in (("M",), ("K", "X"), ("1", "P")):
+        with pytest.raises(DomainError):
+            level_word_poset(word)
 
 
 def test_q_from_gamma_examples():
@@ -508,7 +537,9 @@ def test_is_bounded_graded_against_cover_loops():
     """Unique bottom and top imply the per-element cover conditions."""
 
     def oracle(p):
-        up, down = p.up_covers(), p.down_covers()
+        up, down = [[] for _ in range(p.size)], p.down_covers()
+        for lo, hi in p.covers:
+            up[lo].append(hi)
         reach = []
         for e in range(p.size):
             seen, stack = {e}, [e]
