@@ -78,8 +78,7 @@ def _steps(relation: str, n: int) -> frozenset[int]:
     return frozenset({1} if kind == CONSECUTIVE else range(j, n))
 
 
-def _orbit_cap(word_length: int, max_members: int | None) -> int:
-    cap = DEFAULT_ORBIT_CAP if max_members is None else max_members
+def _orbit_cap(word_length: int, cap: int) -> int:
     limit_mb = os.environ.get("SALIENT_LIMIT_MB")
     if limit_mb:
         try:
@@ -94,7 +93,7 @@ def _orbit_cap(word_length: int, max_members: int | None) -> int:
 
 
 def class_of(word, relation: str = CONSECUTIVE,
-             max_members: int | None = None) -> EquivalenceClass:
+             max_members: int = DEFAULT_ORBIT_CAP) -> EquivalenceClass:
     """Breadth-first closure of a word under the relation's moves.
 
     Multiset words are only meaningful for the consecutive relation; the
@@ -133,7 +132,7 @@ def _scan_partition(words: Iterable[Word], steps: frozenset[int],
     lexicographically smaller (a swap at i with w_i - w_{i+1} in steps),
     which the scan has already met. Each set's root is its least word, so a
     parent is always smaller than its child."""
-    cap = _orbit_cap(length, None)
+    cap = _orbit_cap(length, DEFAULT_ORBIT_CAP)
     if arrangements > cap:
         raise OrbitOverflowError(
             f"{arrangements} arrangements exceed {cap} members")
@@ -175,9 +174,10 @@ def class_partition(n: int, relation: str = CONSECUTIVE,
                     max_n: int = DEFAULT_BRUTE_N) -> list[EquivalenceClass]:
     """All orbits of the relation on the permutations of [n], sorted by
     representative, each with its members sorted."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
     if n > max_n:
         raise GuardExceeded(f"n = {n} exceeds brute-force limit {max_n}")
-    n = max(n, 0)  # a negative n lists the empty permutation alone
     return _scan_partition(itertools.permutations(range(1, n + 1)),
                            _steps(relation, n), math.factorial(n), n)
 
@@ -270,13 +270,14 @@ def class_size(word) -> int:
 # counting formulas and series
 # ---------------------------------------------------------------------------
 
-def count_classes_brute(n: int, max_n: int = DEFAULT_BRUTE_N) -> int:
+def count_classes_brute(n: int) -> int:
     """Number of consecutive-relation classes on permutations of [n], by
     scanning for salient permutations (one per class)."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    if n > max_n:
-        raise GuardExceeded(f"n = {n} exceeds brute-force limit {max_n}")
+    if n > DEFAULT_BRUTE_N:
+        raise GuardExceeded(
+            f"n = {n} exceeds brute-force limit {DEFAULT_BRUTE_N}")
     return sum(1 for p in itertools.permutations(range(1, n + 1))
                if _is_salient(p))
 
@@ -332,8 +333,7 @@ def singleton_series(order: int) -> list[int]:
     return [total.coefficient((i,)) for i in range(order + 1)]
 
 
-def f_j_count(n: int, j: int, method: str = "formula",
-              max_brute_n: int = DEFAULT_BRUTE_N) -> int:
+def f_j_count(n: int, j: int, method: str = "formula") -> int:
     """Number of classes of the swap-when-differing-by-at-least-j relation.
 
     The formula branch returns n! for n <= j and j! * j^(n-j) otherwise; the
@@ -346,5 +346,5 @@ def f_j_count(n: int, j: int, method: str = "formula",
             return math.factorial(n)
         return math.factorial(j) * j ** (n - j)
     if method == "brute":
-        return len(class_partition(n, relation=f"geq:{j}", max_n=max_brute_n))
+        return len(class_partition(n, relation=f"geq:{j}"))
     raise DomainError(f"unknown method {method!r}")

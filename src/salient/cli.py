@@ -23,6 +23,15 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    """A comma-separated list of integers, such as --caps 2,1,2."""
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise DomainError(
+            f"{flag} needs comma-separated integers, got {text!r}") from None
+
+
 def _series_json(ts: series.TruncatedSeries) -> list[dict]:
     return [{"exponents": list(exps), "coefficient": str(value)}
             for exps, value in ts.terms()]
@@ -56,9 +65,8 @@ def _print_classes(args, head: dict, partition) -> None:
 
 
 def cmd_classes(args) -> int:
-    partition = classes.class_partition(
-        args.n, args.relation,
-        max_n=args.limit if args.limit is not None else classes.DEFAULT_BRUTE_N)
+    partition = classes.class_partition(args.n, args.relation,
+                                        max_n=args.limit)
     _print_classes(args, {"n": args.n}, partition)
     return 0
 
@@ -69,8 +77,7 @@ def cmd_count(args) -> int:
     elif args.method == "series":
         value = classes.f_series(args.n)[args.n]
     elif args.method == "bfs":
-        max_n = args.limit if args.limit is not None else classes.DEFAULT_BRUTE_N
-        value = len(classes.class_partition(args.n, max_n=max_n))
+        value = len(classes.class_partition(args.n, max_n=args.limit))
     else:
         raise DomainError(f"unknown method {args.method!r}")
     print(value)
@@ -108,9 +115,7 @@ def cmd_singletons(args) -> int:
     if args.method == "series":
         print(classes.singleton_series(args.n)[args.n])
     else:
-        max_n = (args.limit if args.limit is not None
-                 else classes.DEFAULT_SINGLETON_BRUTE_N)
-        print(classes.count_singletons(args.n, max_n=max_n))
+        print(classes.count_singletons(args.n, max_n=args.limit))
     return 0
 
 
@@ -119,18 +124,14 @@ def cmd_multiset(args) -> int:
     if args.count_only:
         print(series.multiset_count_cf(spec))
         return 0
-    max_total = (args.limit if args.limit is not None
-                 else classes.DEFAULT_MULTISET_TOTAL)
-    partition = classes.multiset_class_partition(spec, max_total=max_total)
+    partition = classes.multiset_class_partition(spec, max_total=args.limit)
     _print_classes(args, {"spec": spec.format()}, partition)
     return 0
 
 
 def cmd_cf(args) -> int:
-    caps = tuple(int(c) for c in args.caps.split(","))
-    max_total = (args.limit if args.limit is not None
-                 else series.DEFAULT_CF_TOTAL_CAP)
-    ts = series.cf_series(args.n, caps, max_total=max_total)
+    caps = _int_list(args.caps, "--caps")
+    ts = series.cf_series(args.n, caps, max_total=args.limit)
     if args.format == "json":
         print(json.dumps(_series_json(ts)))
     else:
@@ -140,7 +141,7 @@ def cmd_cf(args) -> int:
 
 
 def cmd_f4(args) -> int:
-    exps = tuple(int(c) for c in args.exps.split(","))
+    exps = _int_list(args.exps, "--exps")
     if len(exps) != 4:
         raise DomainError("--exps needs four comma-separated exponents")
     if args.t is None:
@@ -151,9 +152,7 @@ def cmd_f4(args) -> int:
 
 
 def cmd_umbral(args) -> int:
-    max_order = (args.limit if args.limit is not None
-                 else series.DEFAULT_UMBRAL_ORDER_CAP)
-    values = series.g_umbral_series(args.k, args.upto, max_order=max_order)
+    values = series.g_umbral_series(args.k, args.upto, max_order=args.limit)
     if args.format == "json":
         print(json.dumps([str(v) for v in values]))
     else:
@@ -193,9 +192,7 @@ def cmd_poset_extensions(args) -> int:
         q = posets.q_from_gamma(args.gamma)
     else:
         raise DomainError("need --gamma or --qn")
-    max_size = (args.limit if args.limit is not None
-                else posets.DEFAULT_EXTENSION_COUNT_SIZE)
-    print(q.extension_count(max_size=max_size))
+    print(q.extension_count(max_size=args.limit))
     return 0
 
 
@@ -242,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", default="consecutive",
                    help="consecutive or geq:J")
     p.add_argument("--members-limit", type=int, default=1000)
-    p.add_argument("--limit", type=int, help="override the brute-force n cap")
+    p.add_argument("--limit", type=int, default=classes.DEFAULT_BRUTE_N,
+                   help="override the brute-force n cap")
     add_format(p)
     p.set_defaults(func=cmd_classes)
 
@@ -250,14 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("bfs", "formula", "series"),
                    required=True)
-    p.add_argument("--limit", type=int, help="override the brute-force n cap")
+    p.add_argument("--limit", type=int, default=classes.DEFAULT_BRUTE_N,
+                   help="override the brute-force n cap")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("class", help="the class of one word")
     p.add_argument("--word", required=True)
     p.add_argument("--relation", default="consecutive")
     p.add_argument("--size-only", action="store_true")
-    p.add_argument("--limit", type=int, help="orbit member cap")
+    p.add_argument("--limit", type=int, default=classes.DEFAULT_ORBIT_CAP,
+                   help="orbit member cap")
     add_format(p)
     p.set_defaults(func=cmd_class)
 
@@ -268,21 +268,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("singletons", help="one-element class count")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("brute", "series"), default="brute")
-    p.add_argument("--limit", type=int, help="override the brute-force n cap")
+    p.add_argument("--limit", type=int,
+                   default=classes.DEFAULT_SINGLETON_BRUTE_N,
+                   help="override the brute-force n cap")
     p.set_defaults(func=cmd_singletons)
 
     p = sub.add_parser("multiset", help="classes of a multiset")
     p.add_argument("--spec", required=True, help='e.g. "1:2,2:1,3:2"')
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--members-limit", type=int, default=1000)
-    p.add_argument("--limit", type=int, help="override the size cap")
+    p.add_argument("--limit", type=int, default=classes.DEFAULT_MULTISET_TOTAL,
+                   help="override the size cap")
     add_format(p)
     p.set_defaults(func=cmd_multiset)
 
     p = sub.add_parser("cf", help="commutation series coefficients")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--caps", required=True, help="per-variable caps, e.g. 2,1,2")
-    p.add_argument("--limit", type=int, help="override the total-cap guard")
+    p.add_argument("--limit", type=int, default=series.DEFAULT_CF_TOTAL_CAP,
+                   help="override the total-cap guard")
     add_format(p)
     p.set_defaults(func=cmd_cf)
 
@@ -294,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("umbral", help="counts for {1^k,...,n^k}")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--upto", type=int, required=True)
-    p.add_argument("--limit", type=int, help="override the order guard")
+    p.add_argument("--limit", type=int,
+                   default=series.DEFAULT_UMBRAL_ORDER_CAP,
+                   help="override the order guard")
     add_format(p)
     p.set_defaults(func=cmd_umbral)
 
@@ -310,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = poset_sub.add_parser("extensions", help="linear extension count")
     p.add_argument("--gamma")
     p.add_argument("--qn", type=int, help="commutation poset on [n]")
-    p.add_argument("--limit", type=int, help="override the size cap")
+    p.add_argument("--limit", type=int,
+                   default=posets.DEFAULT_EXTENSION_COUNT_SIZE,
+                   help="override the size cap")
     p.set_defaults(func=cmd_poset_extensions)
 
     p = sub.add_parser("enumerate", help="multiplicity-free family counts")

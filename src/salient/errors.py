@@ -1,15 +1,23 @@
 """Shared exception types.
 
 Exceeding a guard raises GuardExceeded (CLI exit code 2); nothing is ever
-silently truncated. The DEFAULT_* guards are keyword defaults that callers
-may override, and the CLI's --limit adjusts one per subcommand: the
-brute-force n cap (classes, count --method bfs, singletons), the orbit
-member cap (class), the multiset and cf size caps, the umbral order cap and
-the extension-count size cap (poset extensions). The other guards are fixed
-module constants: series.CF_BOX_CAP and series.PROFILE_CAP,
-posets.GRADED_SWEEP_RANK and posets.GRADED_SWEEP_SIZE, and mfenum.MAX_RANK,
-mfenum.MAX_ELEMENTS and mfenum.MAX_FAMILY. Malformed input raises
-DomainError (CLI exit code 1).
+silently truncated. A guard is a keyword argument only where a caller sets
+it. Its DEFAULT_* constant is the keyword default and, for the seven guards
+behind the CLI's --limit, that flag's default too. These keyword guards are
+the brute-force n caps of classes.class_partition and
+classes.count_singletons, the orbit member cap of classes.class_of, the
+multiset size cap of classes.multiset_class_partition, the total cap of
+series.cf_series, the order cap of series.g_umbral_series, and the size caps
+of NaturalPoset.extension_count (on the CLI) and
+NaturalPoset.descent_vector. Every other guard is a fixed module constant:
+posets.ISO_SIZE, posets.IDEAL_CAP, posets.EXTENSION_LIST_SIZE,
+posets.FLAG_RANK, posets.NATURAL_SWEEP, posets.GRADED_SWEEP_RANK and
+posets.GRADED_SWEEP_SIZE; series.CF_BOX_CAP and series.PROFILE_CAP;
+mfenum.MAX_RANK, mfenum.MAX_ELEMENTS and mfenum.MAX_FAMILY.
+classes.count_classes_brute and the brute branch of classes.f_j_count keep
+to classes.DEFAULT_BRUTE_N, and series.multiset_count_cf to
+series.DEFAULT_CF_TOTAL_CAP. Malformed input raises DomainError (CLI exit
+code 1).
 """
 
 

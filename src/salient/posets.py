@@ -23,13 +23,13 @@ from salient.errors import (DomainError, GuardExceeded,
                             InternalConsistencyError)
 from salient.words import Word
 
-DEFAULT_ISO_SIZE = 24
-DEFAULT_IDEAL_CAP = 200_000
-DEFAULT_EXTENSION_LIST_SIZE = 12
+ISO_SIZE = 24
+IDEAL_CAP = 200_000
+EXTENSION_LIST_SIZE = 12
 DEFAULT_EXTENSION_COUNT_SIZE = 20
 DEFAULT_DESCENT_SIZE = 14
-DEFAULT_FLAG_RANK = 20
-DEFAULT_NATURAL_SWEEP = 7
+FLAG_RANK = 20
+NATURAL_SWEEP = 7
 GRADED_SWEEP_RANK = 5
 GRADED_SWEEP_SIZE = 10
 
@@ -94,27 +94,21 @@ def _refine_colors(n: int, below, above, init) -> list[int]:
         colors = new
 
 
-def canonical_relation_key(n: int, below, init_colors=None) -> tuple:
+def canonical_relation_key(n: int, below) -> tuple:
     """Canonical certificate of a poset given as strict down-set bitmasks.
 
     Two posets are isomorphic exactly when their keys agree. The search
     relabels elements color class by color class, keeping the
     lexicographically least relation encoding; colors come from iterated
-    invariant refinement seeded with element heights (plus any caller
-    colors, which must themselves be isomorphism-invariant).
+    invariant refinement seeded with element heights.
     """
     if n == 0:
         return (0, (), ())
-    heights = _heights(n, below)
-    if init_colors is None:
-        init = heights
-    else:
-        init = [(h, c) for h, c in zip(heights, init_colors)]
     above = [0] * n
     for i in range(n):
         for j in _iter_bits(below[i]):
             above[j] |= 1 << i
-    colors = _refine_colors(n, below, above, init)
+    colors = _refine_colors(n, below, above, _heights(n, below))
     color_seq = sorted(colors)
 
     best: list[int] | None = None
@@ -242,42 +236,22 @@ class GradedPoset:
 
     # -- boundedness
 
-    @property
-    def bottom(self) -> int | None:
-        zeros = [e for e, r in enumerate(self.ranks) if r == 0]
-        if len(zeros) != 1:
-            return None
-        e = zeros[0]
-        if sum(m >> e & 1 for m in self.below_masks()) == self.size - 1:
-            return e
-        return None
-
-    @property
-    def top(self) -> int | None:
-        n = self.rank
-        tops = [e for e, r in enumerate(self.ranks) if r == n]
-        if len(tops) != 1:
-            return None
-        e = tops[0]
-        if bin(self.below_masks()[e]).count("1") == self.size - 1:
-            return e
-        return None
-
-    @property
-    def has_bottom(self) -> bool:
-        return self.bottom is not None
-
-    @property
-    def has_top(self) -> bool:
-        return self.top is not None
-
     def is_bounded_graded(self) -> bool:
         """Bottom, top, and every maximal chain running between them.
 
-        The unique bottom and top suffice: every element lies between them,
-        and covers raise rank by one, so every element below the top rank
-        has an up-cover and every element above rank 0 a down-cover."""
-        return self.size > 0 and self.has_bottom and self.has_top
+        The bottom is the only rank-0 element, below every other one; the top
+        is the only element of the top rank, above every other one. They
+        suffice: every element lies between them, and covers raise rank by
+        one, so every element below the top rank has an up-cover and every
+        element above rank 0 a down-cover."""
+        rank = self.rank
+        zeros = [e for e, r in enumerate(self.ranks) if r == 0]
+        tops = [e for e, r in enumerate(self.ranks) if r == rank]
+        if len(zeros) != 1 or len(tops) != 1:
+            return False
+        below = self.below_masks()
+        return (sum(m >> zeros[0] & 1 for m in below) == self.size - 1
+                and bin(below[tops[0]]).count("1") == self.size - 1)
 
     def _require_bounded(self) -> None:
         if not self.is_bounded_graded():
@@ -286,17 +260,17 @@ class GradedPoset:
 
     # -- flag vectors
 
-    def flag_alpha_vector(self, max_rank: int = DEFAULT_FLAG_RANK
-                          ) -> list[int]:
+    def flag_alpha_vector(self) -> list[int]:
         """alpha over all subsets of [rank-1], indexed by rank-set bitmask.
 
-        The vector has 2^(rank-1) entries, so ranks above max_rank raise
+        The vector has 2^(rank-1) entries, so ranks above FLAG_RANK raise
         GuardExceeded before it is built, as do layers too wide for the
         chain-count table (see _check_chain_table)."""
-        if self.rank > max_rank:
-            raise GuardExceeded(f"flag vectors limited to rank {max_rank}")
-        _check_chain_table(self.layer_sizes(), max_rank)
         if self._alpha is None:
+            if self.rank > FLAG_RANK:
+                raise GuardExceeded(
+                    f"flag vectors limited to rank {FLAG_RANK}")
+            _check_chain_table(self.layer_sizes(), FLAG_RANK)
             self._require_bounded()
             below = self.below_masks()
             alpha = _pykernels.chain_counts(
@@ -305,9 +279,8 @@ class GradedPoset:
             object.__setattr__(self, "_alpha", alpha)
         return self._alpha
 
-    def flag_beta_vector(self, max_rank: int = DEFAULT_FLAG_RANK
-                         ) -> list[int]:
-        alpha = self.flag_alpha_vector(max_rank=max_rank)
+    def flag_beta_vector(self) -> list[int]:
+        alpha = self.flag_alpha_vector()
         if self._beta is None:
             beta = _pykernels.moebius_vector(alpha, max(self.rank - 1, 0))
             object.__setattr__(self, "_beta", beta)
@@ -365,21 +338,6 @@ class GradedPoset:
         labels = list(self.labels) + [f"{self.labels[t]}'" for t in layer]
         return GradedPoset(ranks, covers, labels)
 
-    def ordinal_sum(self, other: "GradedPoset") -> "GradedPoset":
-        """Stack other above self: every element of self below every element
-        of other. For bounded posets this adds the single cover top..bottom."""
-        self._require_bounded()
-        other._require_bounded()
-        shift = self.size
-        lift = self.rank + 1
-        ranks = list(self.ranks) + [r + lift for r in other.ranks]
-        covers = list(self.covers)
-        covers += [(lo + shift, hi + shift) for lo, hi in other.covers]
-        covers.append((self.top, other.bottom + shift))
-        labels = ([f"a:{x}" for x in self.labels]
-                  + [f"b:{x}" for x in other.labels])
-        return GradedPoset(ranks, covers, labels)
-
     def lower_section(self, i: int) -> "GradedPoset":
         """Ranks 0..i of the poset with a new top adjoined above rank i."""
         self._require_bounded()
@@ -407,10 +365,10 @@ class GradedPoset:
 
     # -- isomorphism
 
-    def canonical_key(self, max_size: int = DEFAULT_ISO_SIZE) -> tuple:
-        if self.size > max_size:
+    def canonical_key(self) -> tuple:
+        if self.size > ISO_SIZE:
             raise GuardExceeded(
-                f"canonical form limited to {max_size} elements")
+                f"canonical form limited to {ISO_SIZE} elements")
         return canonical_relation_key(self.size, self.below_masks())
 
     # -- serialization
@@ -580,13 +538,12 @@ class NaturalPoset:
             out[bin(m).count("1")] += 1
         return tuple(out)
 
-    def ideals_lattice(self, max_size: int = DEFAULT_ISO_SIZE,
-                       max_ideals: int = DEFAULT_IDEAL_CAP) -> GradedPoset:
+    def ideals_lattice(self) -> GradedPoset:
         """The distributive lattice of order ideals, ranked by ideal size."""
-        if self.n > max_size:
+        if self.n > ISO_SIZE:
             raise GuardExceeded(
-                f"ideal lattice limited to posets with {max_size} elements")
-        ideals = self.ideal_masks(cap=max_ideals)
+                f"ideal lattice limited to posets with {ISO_SIZE} elements")
+        ideals = self.ideal_masks(cap=IDEAL_CAP)
         index = {m: e for e, m in enumerate(ideals)}
         ranks = [bin(m).count("1") for m in ideals]
         covers = []
@@ -599,28 +556,25 @@ class NaturalPoset:
                   for m in ideals]
         return GradedPoset(ranks, covers, labels)
 
-    def jq_flag_vectors(self, max_rank: int = DEFAULT_FLAG_RANK
-                        ) -> tuple[list[int], list[int]]:
+    def jq_flag_vectors(self) -> tuple[list[int], list[int]]:
         """(alpha, beta) of the ideal lattice, via the fast kernels. The
-        lattice has rank n, so n above max_rank raises GuardExceeded, and so
+        lattice has rank n, so n above FLAG_RANK raises GuardExceeded, and so
         does an ideal lattice too wide for the chain-count table. At most
         C(n, r) ideals have size r, so the table has at most (3^n - 1)/2
         entries, and the ideal size profile is needed only above that."""
-        if self.n > max_rank:
-            raise GuardExceeded(f"flag vectors limited to rank {max_rank}")
-        if (3 ** self.n - 1) // 2 > 1 << (max_rank + 1):
-            _check_chain_table(self.ideal_size_profile(), max_rank)
+        if self.n > FLAG_RANK:
+            raise GuardExceeded(f"flag vectors limited to rank {FLAG_RANK}")
+        if (3 ** self.n - 1) // 2 > 1 << (FLAG_RANK + 1):
+            _check_chain_table(self.ideal_size_profile(), FLAG_RANK)
         return _kernels.natural_flag_vectors(self.n, self.down)
 
     # -- linear extensions
 
-    def linear_extensions(self,
-                          max_size: int = DEFAULT_EXTENSION_LIST_SIZE
-                          ) -> list[Word]:
+    def linear_extensions(self) -> list[Word]:
         """All linear extensions as 1-based words, lexicographically sorted."""
-        if self.n > max_size:
+        if self.n > EXTENSION_LIST_SIZE:
             raise GuardExceeded(
-                f"extension listing limited to {max_size} elements")
+                f"extension listing limited to {EXTENSION_LIST_SIZE} elements")
         n = self.n
         down = self.down
         out: list[Word] = []
@@ -709,25 +663,24 @@ class NaturalPoset:
         down += [(m << self.n) | base for m in other.down]
         return NaturalPoset(self.n + other.n, tuple(down))
 
-    def canonical_key(self, max_size: int = DEFAULT_ISO_SIZE) -> tuple:
-        if self.n > max_size:
+    def canonical_key(self) -> tuple:
+        if self.n > ISO_SIZE:
             raise GuardExceeded(
-                f"canonical form limited to {max_size} elements")
+                f"canonical form limited to {ISO_SIZE} elements")
         return canonical_relation_key(self.n, self.down)
 
     def __repr__(self):
         return f"NaturalPoset(n={self.n}, relations={self.relations()})"
 
 
-def are_isomorphic(first, second, max_size: int = DEFAULT_ISO_SIZE) -> bool:
+def are_isomorphic(first, second) -> bool:
     """Exact poset isomorphism via canonical forms.
 
     Accepts GradedPoset or NaturalPoset in any combination (the comparison
     forgets rank and labels, which are order-intrinsic anyway for bounded
     graded posets).
     """
-    return (first.canonical_key(max_size=max_size)
-            == second.canonical_key(max_size=max_size))
+    return first.canonical_key() == second.canonical_key()
 
 
 # ---------------------------------------------------------------------------
@@ -870,20 +823,18 @@ def _natural_down_tuples(n: int) -> tuple[tuple[int, ...], ...]:
                  for d in _pykernels.order_ideals(downs))
 
 
-def all_natural_posets(n: int,
-                       max_n: int = DEFAULT_NATURAL_SWEEP) -> list[NaturalPoset]:
+def all_natural_posets(n: int) -> list[NaturalPoset]:
     """Every natural partial order of [n] (A006455: 1, 1, 2, 7, 40, 357,
     4824, 96428, ...). Cached; guarded because the counts explode."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    if n > max_n:
-        raise GuardExceeded(f"natural-poset sweep limited to n <= {max_n}")
+    if n > NATURAL_SWEEP:
+        raise GuardExceeded(
+            f"natural-poset sweep limited to n <= {NATURAL_SWEEP}")
     return [NaturalPoset(n, downs) for downs in _natural_down_tuples(n)]
 
 
-def all_posets_up_to_iso(n: int,
-                         max_n: int = DEFAULT_NATURAL_SWEEP
-                         ) -> list[NaturalPoset]:
+def all_posets_up_to_iso(n: int) -> list[NaturalPoset]:
     """One representative of every isomorphism class of n-element posets
     (A000112: 1, 1, 2, 5, 16, 63, 318, 2045, 16999, ...).
 
@@ -899,8 +850,9 @@ def all_posets_up_to_iso(n: int,
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    if n > max_n:
-        raise GuardExceeded(f"isomorphism-class sweep limited to n <= {max_n}")
+    if n > NATURAL_SWEEP:
+        raise GuardExceeded(
+            f"isomorphism-class sweep limited to n <= {NATURAL_SWEEP}")
     return list(_iso_sweep(n))[-1]
 
 
@@ -957,15 +909,15 @@ def all_bounded_graded_posets(max_rank: int,
     return out
 
 
-def random_graded_poset(rng, max_rank: int = 5,
-                        max_size: int = 10) -> GradedPoset:
-    """A random bounded graded poset: random interior layer sizes, random
-    covers between consecutive layers with every element kept on a maximal
-    chain. Deterministic for a seeded rng."""
-    n = rng.randint(2, max_rank)
+def random_graded_poset(rng) -> GradedPoset:
+    """A random bounded graded poset of rank 2..5 with at most 10 elements:
+    random interior layer sizes, random covers between consecutive layers
+    with every element kept on a maximal chain. Deterministic for a seeded
+    rng."""
+    n = rng.randint(2, 5)
     sizes = [1] * (n - 1)
-    spare = max_size - 2 - (n - 1)
-    for _ in range(rng.randint(0, max(spare, 0))):
+    # one element per rank 0..n, plus up to 9 - n spares: 10 at most
+    for _ in range(rng.randint(0, 9 - n)):
         sizes[rng.randrange(n - 1)] += 1
     ranks = [0]
     layer_ids: list[list[int]] = [[0]]

@@ -312,7 +312,7 @@ def cf_series(n: int, caps, max_total=DEFAULT_CF_TOTAL_CAP,
     return TruncatedSeries(variables, caps, terms, total_cap=total_cap).inverse()
 
 
-def multiset_count_cf(spec: MultisetSpec, max_total=DEFAULT_CF_TOTAL_CAP) -> int:
+def multiset_count_cf(spec: MultisetSpec) -> int:
     """Number of interchange classes of arrangements of the multiset.
 
     Reads off the coefficient of prod x_v^{r_v} in cf_series. The empty
@@ -320,10 +320,11 @@ def multiset_count_cf(spec: MultisetSpec, max_total=DEFAULT_CF_TOTAL_CAP) -> int
     """
     if spec.total == 0:
         return 1
-    if spec.total > max_total:
-        raise GuardExceeded(f"multiset size {spec.total} exceeds limit {max_total}")
+    if spec.total > DEFAULT_CF_TOTAL_CAP:
+        raise GuardExceeded(f"multiset size {spec.total} exceeds limit "
+                            f"{DEFAULT_CF_TOTAL_CAP}")
     caps = spec.caps_vector()
-    series = cf_series(len(caps), caps, max_total=max_total)
+    series = cf_series(len(caps), caps)
     return series.coefficient(caps)
 
 

@@ -215,6 +215,8 @@ def test_partition_covers_all_permutations():
         reps = [c.representative for c in partition]
         assert reps == sorted(reps)
         assert all(is_salient(r) for r in reps)
+    with pytest.raises(DomainError, match="^n must be >= 0$"):
+        class_partition(-1)
 
 
 def test_count_classes_brute():
@@ -223,8 +225,7 @@ def test_count_classes_brute():
     assert count_classes_brute(7) == 1824
     with pytest.raises(GuardExceeded):
         count_classes_brute(9)
-    # the guard is configuration, not a constant
-    assert count_classes_brute(8, max_n=8) == f_inclusion_exclusion(8)
+    assert count_classes_brute(8) == f_inclusion_exclusion(8)
 
 
 def test_f_inclusion_exclusion():

@@ -242,3 +242,63 @@ def test_guard_override(capsys):
     assert code == 0
     code, out2, _ = run(capsys, "count", "--n", "9", "--method", "formula")
     assert out == out2
+
+
+FORTY = ",".join(map(str, range(1, 41)))
+ORBIT_21 = ("1234567 1234576 1234657 1235467 1235476 1243567 1243576 1243657 "
+            "1324567 1324576 1324657 1325467 1325476 2134567 2134576 2134657 "
+            "2135467 2135476 2143567 2143576 2143657\n")
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    # one past each guard's default
+    ("classes --n 9", 2, "n = 9 exceeds brute-force limit 8"),
+    ("count --n 9 --method bfs", 2, "n = 9 exceeds brute-force limit 8"),
+    (f"class --word {FORTY}", 2,
+     f"orbit of {tuple(range(1, 41))} exceeds 10000000 members"),
+    ("singletons --n 10", 2, "n = 10 exceeds brute-force limit 9"),
+    ("multiset --spec 1:11", 2, "multiset size 11 exceeds limit 10"),
+    ("cf --n 1 --caps 25", 2, "total cap 25 exceeds limit 24"),
+    ("umbral --k 1 --upto 101", 2, "order 101 exceeds limit 100"),
+    ("poset extensions --qn 21", 2,
+     "extension counting limited to 20 elements"),
+    # the --limit override, lowered or raised
+    ("classes --n 3 --limit 2", 2, "n = 3 exceeds brute-force limit 2"),
+    ("class --word 1234567 --limit 20", 2,
+     "orbit of (1, 2, 3, 4, 5, 6, 7) exceeds 20 members"),
+    ("class --word 1234567 --limit 21", 0, ORBIT_21),
+    ("singletons --n 6 --limit 5", 2, "n = 6 exceeds brute-force limit 5"),
+    ("multiset --spec 1:11 --limit 11", 0, "11111111111 size=1: 11111111111\n"),
+    ("cf --n 1 --caps 25 --limit 25", 0,
+     "".join(f"{k} 1\n" for k in range(26))),
+    ("umbral --k 1 --upto 5 --limit 4", 2, "order 5 exceeds limit 4"),
+    ("umbral --k 1 --upto 5 --limit 5", 0, "1 1 1 2 8 42\n"),
+    ("poset extensions --qn 21 --limit 21", 0, "17711\n"),
+])
+def test_each_limit(capsys, argv, code, expected):
+    got, out, err = run(capsys, *argv.split())
+    assert got == code
+    if code:
+        assert (out, err) == ("", f"error: {expected}\n")
+    else:
+        assert (out, err) == (expected, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cf", "--n", "3", "--caps", "1,x,1"),
+    ("cf", "--n", "3", "--caps", ""),
+    ("f4", "--exps", "1,a,1,1"),
+])
+def test_malformed_integer_lists(capsys, argv):
+    flag, text = argv[-2:]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} needs comma-separated integers, got {text!r}\n"
+
+
+def test_count_refuses_negative_n(capsys):
+    for method, name in (("bfs", "n"), ("formula", "n"), ("series", "order")):
+        code, out, err = run(capsys, "count", "--n", "-1", "--method", method)
+        assert (code, out, err) == (1, "", f"error: {name} must be >= 0\n")
+    code, out, err = run(capsys, "classes", "--n", "-2")
+    assert (code, out, err) == (1, "", "error: n must be >= 0\n")

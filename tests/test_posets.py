@@ -7,7 +7,8 @@ import pytest
 from salient import _kernels
 from salient.acceptance import DISTLAT_COUNTS
 from salient.errors import DomainError, GuardExceeded
-from salient.posets import (GradedPoset, NaturalPoset, all_bounded_graded_posets,
+from salient.posets import (GradedPoset, NaturalPoset, _check_chain_table,
+                            _iso_sweep, all_bounded_graded_posets,
                             all_natural_posets, all_posets_up_to_iso,
                             are_isomorphic, check_gamma, gamma_words,
                             lattice_from_gamma, level_word_poset,
@@ -118,18 +119,17 @@ def test_gamma_flag_vectors_against_descents_to_rank_11():
 
 
 def test_flag_vectors_rank_guard():
-    lattice = lattice_from_gamma("0101")
+    # rank 21 is one past posets.FLAG_RANK
+    lattice = GradedPoset.chain(21)
     for flag_vector in (lattice.flag_alpha_vector, lattice.flag_beta_vector):
-        with pytest.raises(GuardExceeded):
-            flag_vector(max_rank=4)
-    assert len(lattice.flag_beta_vector(max_rank=5)) == 16
-    # a cached vector does not lift the guard
-    with pytest.raises(GuardExceeded):
-        lattice.flag_alpha_vector(max_rank=4)
-    q = q_from_gamma("0101")
-    with pytest.raises(GuardExceeded):
-        q.jq_flag_vectors(max_rank=4)
-    assert len(q.jq_flag_vectors(max_rank=5)[1]) == 16
+        with pytest.raises(GuardExceeded,
+                           match="^flag vectors limited to rank 20$"):
+            flag_vector()
+    with pytest.raises(GuardExceeded, match="^flag vectors limited to rank 20$"):
+        NaturalPoset.chain(21).jq_flag_vectors()
+    # rank 20 itself passes
+    assert len(GradedPoset.chain(20).flag_beta_vector()) == 2 ** 19
+    assert len(NaturalPoset.chain(20).jq_flag_vectors()[1]) == 2 ** 19
     # the check runs before anything of size 2^(rank - 1) is built
     with pytest.raises(GuardExceeded):
         lattice_from_gamma("01" * 30).flag_alpha_vector()
@@ -138,20 +138,30 @@ def test_flag_vectors_rank_guard():
 
 
 def test_flag_vectors_chain_table_guard():
-    # rank 4 passes the rank guard at max_rank = 4, but chain counting over
-    # B4 would keep 4*1 + 6*2 + 4*4 + 1*8 = 40 > 2^5 entries
-    with pytest.raises(GuardExceeded):
-        GradedPoset.boolean_lattice(4).flag_alpha_vector(max_rank=4)
-    with pytest.raises(GuardExceeded):
-        NaturalPoset.antichain(4).jq_flag_vectors(max_rank=4)
-    assert len(GradedPoset.boolean_lattice(4).flag_alpha_vector(
-        max_rank=5)) == 8
-    assert len(NaturalPoset.antichain(4).jq_flag_vectors(max_rank=5)[0]) == 8
+    # rank 4 passes a rank guard of 4, but chain counting over B4 would keep
+    # 4*1 + 6*2 + 4*4 + 1*8 = 40 > 2^5 entries
+    b4 = GradedPoset.boolean_lattice(4)
+    assert b4.layer_sizes() == NaturalPoset.antichain(4).ideal_size_profile()
+    with pytest.raises(GuardExceeded, match=(
+            r"^chain counts need 40 entries, more than 2\^5 "
+            r"\(flag vectors limited to rank 4\)$")):
+        _check_chain_table(b4.layer_sizes(), 4)
+    _check_chain_table(b4.layer_sizes(), 5)
     # every poset with at most two elements per rank still fits at its rank
     for poset in generate_mf_posets("rank", 6):
-        poset.flag_alpha_vector(max_rank=poset.rank)
+        _check_chain_table(poset.layer_sizes(), poset.rank)
     for q in distributive_mf_family(6):
-        q.jq_flag_vectors(max_rank=q.n)
+        _check_chain_table(q.ideal_size_profile(), q.n)
+    # through the public calls: the ideal lattice of a 14-element antichain
+    # has rank 14 <= posets.FLAG_RANK but needs (3^14 - 1)/2 > 2^21 entries
+    with pytest.raises(GuardExceeded, match=(
+            r"^chain counts need 2391484 entries, more than 2\^21 "
+            r"\(flag vectors limited to rank 20\)$")):
+        NaturalPoset.antichain(14).jq_flag_vectors()
+    # five elements of rank 20 need 5 * 2^19 entries; the guard runs before
+    # the boundedness check
+    with pytest.raises(GuardExceeded, match="^chain counts need 2621440 "):
+        GradedPoset([20] * 5, []).flag_alpha_vector()
 
 
 def test_ideals_lattice_examples():
@@ -160,8 +170,9 @@ def test_ideals_lattice_examples():
     assert are_isomorphic(NaturalPoset.chain(4).ideals_lattice(), chain(4))
     J = q_from_commuting_word(3).ideals_lattice()
     assert J.size == 6 and J.rank == 3
-    with pytest.raises(GuardExceeded):
-        NaturalPoset.antichain(10).ideals_lattice(max_ideals=100)
+    # 2^18 ideals, past posets.IDEAL_CAP
+    with pytest.raises(GuardExceeded, match="^more than 200000 order ideals$"):
+        NaturalPoset.antichain(18).ideals_lattice()
 
 
 def test_natural_poset_validation():
@@ -409,7 +420,6 @@ def test_proliferate_factorization():
 
 
 def test_ordinal_sum():
-    assert are_isomorphic(chain(1).ordinal_sum(chain(1)), chain(3))
     q1 = NaturalPoset.from_relations(3, [(1, 3)])
     q2 = NaturalPoset.antichain(2)
     q = q1.ordinal_sum(q2)
@@ -434,6 +444,35 @@ def test_ordinal_sum_extension_products():
         combined = a.ordinal_sum(b)
         assert (combined.extension_count()
                 == a.extension_count() * b.extension_count())
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def test_distributive_family_is_ordinal_sums_of_q_gamma_blocks():
+    # the paper's classification: the posets whose ideal lattice is
+    # multiplicity-free are the ordinal sums of q_gamma blocks, over every
+    # composition of n; the family itself is built from level words
+    blocks = {}
+    for n in range(11):
+        sums = set()
+        for parts in _compositions(n):
+            for gammas in itertools.product(*map(gamma_words, parts)):
+                q = NaturalPoset(0, ())
+                for g in gammas:
+                    if g not in blocks:
+                        blocks[g] = q_from_gamma(g)
+                    q = q.ordinal_sum(blocks[g])
+                sums.add(q.canonical_key())
+        family = distributive_mf_family(n)
+        assert sums == {q.canonical_key() for q in family}
+        assert len(sums) == len(family)
+    assert len(family) == 1682
 
 
 def test_isomorphism_examples():
@@ -482,14 +521,12 @@ def test_iso_sweep_matches_canonicalize_and_discard():
 def test_iso_sweep_guards():
     with pytest.raises(GuardExceeded):
         all_posets_up_to_iso(8)
-    with pytest.raises(GuardExceeded):
-        all_posets_up_to_iso(5, max_n=4)
     with pytest.raises(DomainError):
         all_posets_up_to_iso(-1)
 
 
 def test_iso_sweep_n8_and_distributive_count():
-    reps = all_posets_up_to_iso(8, max_n=8)
+    reps = list(_iso_sweep(8))[-1]
     assert len(reps) == 16999  # A000112
     two_ideals = sum(all(c <= 2 for c in q.ideal_size_profile())
                      for q in reps)
