@@ -9,6 +9,13 @@ order_ideals, chain_counts and moebius_vector have no twin: they are the one
 ideal enumerator, chain counter and Moebius transform of the pure path, which
 salient.posets calls directly for posets of every kind.
 
+descent_vector is a brute force: it reaches every linear extension once,
+depth first, and does little interpreter work per extension. Each placed
+ideal's free elements are listed once and reused by every path through that
+ideal, and the last two elements are placed inline. It lists its free
+elements from down itself, so it shares nothing with order_ideals and the
+flag kernels it is checked against.
+
 The flag kernels keep their inner loops out of the interpreter.
 chain_counts builds each element's chain counts rank block by rank block,
 summing whole lists of lower elements with map and zip. zeta_vector and
@@ -39,34 +46,52 @@ def descent_vector(n: int, down) -> list[int]:
     Entry D of the result is the number of linear extensions w (read as words
     in the 0-based labels) with w[p-1] > w[p] exactly at the positions p whose
     bit p-1 is set in D.
+
+    free maps each placed ideal to its free elements, ascending, each with
+    the ideal it extends to. With two elements left the walk counts the
+    extensions directly: only the smaller is free when the larger lies
+    above it, and otherwise both orders count.
     """
-    if n <= 0:
+    if n <= 1:
         return [1]
-    out = [0] * (1 << (n - 1))
     down = tuple(down)
-    full = (1 << n) - 1
+    # bit p of dmask marks a descent at position p; position 0 has none, so
+    # entry D of the result is out[2 * D]
+    out = [0] * (1 << n)
+    tail = 1 << (n - 2)
+    free: dict[int, list[tuple[int, int]]] = {}
 
-    def rec(placed: int, depth: int, last: int, dmask: int) -> None:
-        if placed == full:
-            out[dmask] += 1
+    def walk(placed: int, last: int, dmask: int, bit: int) -> None:
+        succ = free.get(placed)
+        if succ is None:
+            succ = free[placed] = [
+                (e, placed | 1 << e) for e in range(n)
+                if not (placed >> e & 1 or down[e] & ~placed)]
+        if bit == tail:
+            a = succ[0][0]
+            out[dmask | bit if a < last else dmask] += 1
+            if len(succ) == 2:
+                b = succ[1][0]
+                out[(dmask | bit if b < last else dmask) | bit << 1] += 1
             return
-        for e in range(n):
-            bit = 1 << e
-            if placed & bit or down[e] & ~placed:
-                continue
-            if depth and e < last:
-                rec(placed | bit, depth + 1, e, dmask | (1 << (depth - 1)))
+        nxt = bit << 1
+        for e, ideal in succ:
+            if e < last:
+                walk(ideal, e, dmask | bit, nxt)
             else:
-                rec(placed | bit, depth + 1, e, dmask)
+                walk(ideal, e, dmask, nxt)
 
-    rec(0, 0, -1, 0)
-    return out
+    walk(0, -1, 0, 1)
+    return out[::2]
 
 
 def order_ideals(down, cap: int | None = None) -> list[int]:
     """Order ideals of a natural poset given by its down-set masks, in build
     order: element i joins every ideal listed so far that holds its down-set.
-    Raises GuardExceeded once there are more than cap of them."""
+    Every ideal comes after all of its sub-ideals (an ideal with top element
+    h is built in round h from one listed before), which
+    NaturalPoset.extension_count relies on. Raises GuardExceeded once there
+    are more than cap of them."""
     ideals = [0]
     for i, di in enumerate(down):
         bit = 1 << i

@@ -291,16 +291,16 @@ def f_inclusion_exclusion(n: int) -> int:
                for j in range(n // 2 + 1))
 
 
-def f_series(order: int) -> list[int]:
-    """Coefficients of x^0..x^order of sum over m of m! (x (1 - x))^m."""
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    out = [0] * (order + 1)
+def f_series(n: int) -> list[int]:
+    """Coefficients of x^0..x^n of sum over m of m! (x (1 - x))^m."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    out = [0] * (n + 1)
     fact = 1
-    for m in range(order + 1):
+    for m in range(n + 1):
         if m:
             fact *= m
-        for i in range(min(m, order - m) + 1):
+        for i in range(min(m, n - m) + 1):
             out[m + i] += fact * (-1) ** i * math.comb(m, i)
     return out
 
@@ -318,19 +318,19 @@ def count_singletons(n: int, max_n: int = DEFAULT_SINGLETON_BRUTE_N) -> int:
                if all(abs(a - b) >= 2 for a, b in zip(p, p[1:])))
 
 
-def singleton_series(order: int) -> list[int]:
-    """Coefficients of x^0..x^order of sum over m of m! (x(1-x)/(1+x))^m."""
-    if order < 0:
-        raise DomainError("order must be >= 0")
+def singleton_series(n: int) -> list[int]:
+    """Coefficients of x^0..x^n of sum over m of m! (x(1-x)/(1+x))^m."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
     base = series.expand_rational({(1,): 1, (2,): -1}, {(0,): 1, (1,): 1},
-                                  (order,), variables=("x",))
-    total = power = series.TruncatedSeries.constant(1, ("x",), (order,))
+                                  (n,), variables=("x",))
+    total = power = series.TruncatedSeries.constant(1, ("x",), (n,))
     fact = 1
-    for m in range(1, order + 1):
+    for m in range(1, n + 1):
         power = power * base
         fact *= m
         total = total + power * fact
-    return [total.coefficient((i,)) for i in range(order + 1)]
+    return [total.coefficient((i,)) for i in range(n + 1)]
 
 
 def f_j_count(n: int, j: int, method: str = "formula") -> int:

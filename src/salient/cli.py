@@ -23,6 +23,15 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+class _StoreGiven(argparse.Action):
+    """Store the value and note that the flag was given: argparse cannot
+    tell an explicit value equal to the default from no value at all."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, self.dest + "_given", True)
+
+
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
     """A comma-separated list of integers, such as --caps 2,1,2."""
     try:
@@ -122,6 +131,10 @@ def cmd_singletons(args) -> int:
 def cmd_multiset(args) -> int:
     spec = words.MultisetSpec.parse(args.spec)
     if args.count_only:
+        if args.limit_given:
+            raise DomainError(
+                "--limit does not apply to --count-only (the count has a "
+                f"fixed size cap of {series.DEFAULT_CF_TOTAL_CAP})")
         print(series.multiset_count_cf(spec))
         return 0
     partition = classes.multiset_class_partition(spec, max_total=args.limit)
@@ -278,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--members-limit", type=int, default=1000)
     p.add_argument("--limit", type=int, default=classes.DEFAULT_MULTISET_TOTAL,
-                   help="override the size cap")
+                   action=_StoreGiven,
+                   help="override the size cap (not with --count-only)")
+    p.set_defaults(limit_given=False)
     add_format(p)
     p.set_defaults(func=cmd_multiset)
 

@@ -601,20 +601,21 @@ class NaturalPoset:
 
     def extension_count(self,
                         max_size: int = DEFAULT_EXTENSION_COUNT_SIZE) -> int:
-        """Number of linear extensions, by dynamic programming over ideals."""
+        """Number of linear extensions, by dynamic programming over ideals:
+        each ideal passes its count on to every ideal one free element
+        larger."""
         if self.n > max_size:
             raise GuardExceeded(
                 f"extension counting limited to {max_size} elements")
-        up = self.up()
-        counts = {0: 1}
-        for ideal in self.ideal_masks():
-            if ideal == 0:
-                continue
-            total = 0
-            for i in _iter_bits(ideal):
-                if not up[i] & ideal:
-                    total += counts[ideal ^ (1 << i)]
-            counts[ideal] = total
+        # order_ideals lists each ideal after all of its sub-ideals, so an
+        # ideal's count is complete before it is pushed to its covers
+        counts = dict.fromkeys(_pykernels.order_ideals(self.down), 0)
+        counts[0] = 1
+        steps = [(1 << i, d) for i, d in enumerate(self.down)]
+        for ideal, count in counts.items():
+            for bit, d in steps:
+                if not (ideal & bit or d & ~ideal):
+                    counts[ideal | bit] += count
         return counts[(1 << self.n) - 1]
 
     def descent_vector(self, max_size: int = DEFAULT_DESCENT_SIZE) -> list[int]:

@@ -94,6 +94,22 @@ def test_multiset(capsys):
     assert [c["size"] for c in payload["classes"]] == [6]
 
 
+def test_multiset_count_only_refuses_limit(capsys):
+    refusal = ("error: --limit does not apply to --count-only (the count "
+               "has a fixed size cap of 24)\n")
+    # a limit above the cap, below the answer, and equal to --limit's default
+    for spec, limit in (("1:13,2:12", "30"), ("1:3,2:2", "3"),
+                        ("1:3,2:2", "10")):
+        code, out, err = run(capsys, "multiset", "--spec", spec,
+                             "--count-only", "--limit", limit)
+        assert (code, out, err) == (1, "", refusal)
+        code, out, err = run(capsys, "multiset", "--spec", spec,
+                             "--limit", limit, "--count-only")
+        assert (code, out, err) == (1, "", refusal)
+    code, out, _ = run(capsys, "multiset", "--spec", "1:3,2:2", "--count-only")
+    assert (code, out) == (0, "1\n")
+
+
 def test_multiset_members_limit_in_text(capsys):
     spec = ("multiset", "--spec", "1:2,2:1,3:2")
     code, out, _ = run(capsys, *spec, "--members-limit", "1")
@@ -297,8 +313,11 @@ def test_malformed_integer_lists(capsys, argv):
 
 
 def test_count_refuses_negative_n(capsys):
-    for method, name in (("bfs", "n"), ("formula", "n"), ("series", "order")):
-        code, out, err = run(capsys, "count", "--n", "-1", "--method", method)
-        assert (code, out, err) == (1, "", f"error: {name} must be >= 0\n")
+    for command, methods in (("count", ("bfs", "formula", "series")),
+                             ("singletons", ("brute", "series"))):
+        for method in methods:
+            code, out, err = run(capsys, command, "--n", "-1",
+                                 "--method", method)
+            assert (code, out, err) == (1, "", "error: n must be >= 0\n")
     code, out, err = run(capsys, "classes", "--n", "-2")
     assert (code, out, err) == (1, "", "error: n must be >= 0\n")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 import types
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from salient import _kernels, _pykernels
-from salient.posets import all_natural_posets
+from salient.posets import (NaturalPoset, all_natural_posets,
+                            q_from_commuting_word)
 from salient.words import descent_set
 
 try:
@@ -37,17 +39,46 @@ def test_edge_cases():
     assert _kernels.zeta_vector([1, 2], 1) == [1, 3]
 
 
+def _descent_tally(n, words):
+    direct = [0] * max(1, 1 << max(n - 1, 0))
+    for w in words:
+        mask = 0
+        for i in descent_set(w):
+            mask |= 1 << (i - 1)
+        direct[mask] += 1
+    return direct
+
+
 def test_descent_vector_against_direct_enumeration():
     for n in range(7):
         for q in all_natural_posets(n):
             vec = _kernels.descent_vector(q.n, q.down)
-            direct = [0] * max(1, 1 << max(n - 1, 0))
-            for w in q.linear_extensions():
-                mask = 0
-                for i in descent_set(w):
-                    mask |= 1 << (i - 1)
-                direct[mask] += 1
-            assert vec == direct
+            assert vec == _descent_tally(n, q.linear_extensions())
+
+
+def test_descent_vector_past_six_elements():
+    # the antichain on [7]: every permutation is a linear extension
+    words = itertools.permutations(range(1, 8))
+    assert (_pykernels.descent_vector(7, (0,) * 7)
+            == _descent_tally(7, words))
+    for n in range(11):
+        q = q_from_commuting_word(n)
+        assert (_pykernels.descent_vector(n, q.down)
+                == _descent_tally(n, q.linear_extensions()))
+    # two elements: one forced order, or both orders
+    assert _pykernels.descent_vector(2, NaturalPoset.chain(2).down) == [1, 0]
+    assert _pykernels.descent_vector(2, NaturalPoset.antichain(2).down) == [1, 1]
+
+
+def test_order_ideals_list_sub_ideals_first():
+    """order_ideals lists every ideal after all of its sub-ideals, so a
+    pass in list order can push each ideal's finished value to its covers
+    (NaturalPoset.extension_count relies on this)."""
+    for n in range(7):
+        for q in all_natural_posets(n):
+            ideals = _pykernels.order_ideals(q.down)
+            for k, ideal in enumerate(ideals):
+                assert all(later & ~ideal for later in ideals[k + 1:])
 
 
 def test_pure_flag_vectors_match_lattice():
