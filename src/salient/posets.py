@@ -70,87 +70,128 @@ def _check_chain_table(sizes, max_rank: int) -> None:
 # canonical forms (shared by both poset flavors)
 # ---------------------------------------------------------------------------
 
-def _heights(n: int, below) -> list[int]:
-    heights = [0] * n
-    for i in sorted(range(n), key=lambda e: bin(below[e]).count("1")):
-        heights[i] = 1 + max((heights[j] for j in _iter_bits(below[i])),
-                             default=-1)
+def _bit_lists(masks) -> list[list[int]]:
+    """The set bits of each mask as an ascending list of indices."""
+    return [[j for j in range(m.bit_length()) if m >> j & 1] for m in masks]
+
+
+def _heights(downs) -> list[int]:
+    """Each element's height (the most elements on a chain below it), from
+    the strict down-sets as index lists."""
+    heights = [0] * len(downs)
+    for i in sorted(range(len(downs)), key=list(map(len, downs)).__getitem__):
+        if downs[i]:
+            heights[i] = 1 + max(map(heights.__getitem__, downs[i]))
     return heights
-
-
-def _refine_colors(n: int, below, above, init) -> list[int]:
-    ranking = {c: r for r, c in enumerate(sorted(set(init)))}
-    colors = [ranking[c] for c in init]
-    while True:
-        sigs = []
-        for i in range(n):
-            down_sig = tuple(sorted(colors[j] for j in _iter_bits(below[i])))
-            up_sig = tuple(sorted(colors[j] for j in _iter_bits(above[i])))
-            sigs.append((colors[i], down_sig, up_sig))
-        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
 
 
 def canonical_relation_key(n: int, below) -> tuple:
     """Canonical certificate of a poset given as strict down-set bitmasks.
 
-    Two posets are isomorphic exactly when their keys agree. The search
-    relabels elements color class by color class, keeping the
-    lexicographically least relation encoding; colors come from iterated
+    Two posets are isomorphic exactly when their keys agree. The key is
+    (n, the sorted colors, the rows) for the lexicographically least row
+    encoding over all orderings of the elements by color: the row of the
+    element at position p has bit 2q when the element at position q < p is
+    below it and bit 2q + 1 when it is above it. Colors come from iterated
     invariant refinement seeded with element heights.
+
+    The search places one element per position and keeps every element's
+    row against the placed prefix as it goes. Only candidates of least row
+    can continue the least encoding, so only they are branched on, and of
+    twins (elements with equal down-sets and equal up-sets, which the
+    transposition of the two maps onto each other while fixing every other
+    element) only the first unplaced one: the others give the same rows. An
+    antichain therefore has one branch, not n!.
     """
     if n == 0:
         return (0, (), ())
-    above = [0] * n
-    for i in range(n):
-        for j in _iter_bits(below[i]):
-            above[j] |= 1 << i
-    colors = _refine_colors(n, below, above, _heights(n, below))
+    downs = _bit_lists(below)
+    ups: list[list[int]] = [[] for _ in range(n)]
+    for i, down in enumerate(downs):
+        for j in down:
+            ups[j].append(i)
+
+    # Heights take every value 0..max, so they are already color ranks. A
+    # round ranks (color, down colors, up colors); an element alone in its
+    # color class keeps its rank whatever its sets, so it skips the sort.
+    colors = _heights(downs)
+    count = max(colors) + 1
+    while count < n:
+        sizes = [0] * count
+        for c in colors:
+            sizes[c] += 1
+        sigs = [(c, tuple(sorted([colors[j] for j in downs[i]])),
+                 tuple(sorted([colors[j] for j in ups[i]])))
+                if sizes[c] > 1 else (c,)
+                for i, c in enumerate(colors)]
+        ranked = sorted(set(sigs))
+        if len(ranked) == count:
+            break
+        ranking = {s: r for r, s in enumerate(ranked)}
+        colors = [ranking[s] for s in sigs]
+        count = len(ranked)
     color_seq = sorted(colors)
 
-    best: list[int] | None = None
-    placed: list[int] = []
-    rows: list[int] = []
-    used = [False] * n
+    twins: dict[tuple, list[int]] = {}
+    for i in range(n):
+        twins.setdefault((below[i], tuple(ups[i])), []).append(i)
+    members = list(twins.values())
+    placed = [0] * len(members)  # members of each twin class placed so far
+    by_color: list[list[int]] = [[] for _ in range(count)]
+    for t, twin_class in enumerate(members):
+        by_color[colors[twin_class[0]]].append(t)
+    seq: list[int] = []
+    best: list[int] = []
 
-    def rec(pos: int) -> None:
-        nonlocal best
-        if pos == n:
-            if best is None or rows < best:
-                best = rows.copy()
-            return
-        req = color_seq[pos]
-        grouped: dict[int, list[int]] = {}
-        for i in range(n):
-            if used[i] or colors[i] != req:
-                continue
-            row = 0
-            for idx, p in enumerate(placed):
-                if below[i] >> p & 1:
-                    row |= 1 << (2 * idx)
-                if below[p] >> i & 1:
-                    row |= 1 << (2 * idx + 1)
-            grouped.setdefault(row, []).append(i)
-        for row in sorted(grouped):
-            if best is not None:
-                rows.append(row)
-                worse = rows > best[: pos + 1]
-                rows.pop()
-                if worse:
+    def place(rows: list[int], pos: int, i: int) -> None:
+        bit = 1 << 2 * pos
+        for j in ups[i]:
+            rows[j] |= bit
+        bit <<= 1
+        for j in downs[i]:
+            rows[j] |= bit
+
+    def search(pos: int, rows: list[int], tight: bool) -> bool:
+        """Extend seq from position pos. rows[i] is element i's row against
+        the placed prefix, in a list this call may change; tight means seq
+        equals the start of best. Returns whether best was lowered."""
+        start, forced, improved = pos, [], False
+        while pos < n:
+            low, cands = -1, []
+            for t in by_color[color_seq[pos]]:
+                if placed[t] < len(members[t]):
+                    i = members[t][placed[t]]
+                    if rows[i] < low or low < 0:
+                        low, cands = rows[i], [(t, i)]
+                    elif rows[i] == low:
+                        cands.append((t, i))
+            if tight:
+                if low > best[pos]:
                     break
-            for i in grouped[row]:
-                used[i] = True
-                placed.append(i)
-                rows.append(row)
-                rec(pos + 1)
-                rows.pop()
-                placed.pop()
-                used[i] = False
+                tight = low == best[pos]
+            seq.append(low)
+            *others, (t, i) = cands
+            for t2, i2 in others:
+                child = rows.copy()
+                place(child, pos, i2)
+                placed[t2] += 1
+                if search(pos + 1, child, tight):
+                    improved = tight = True
+                placed[t2] -= 1
+            place(rows, pos, i)
+            placed[t] += 1
+            forced.append(t)
+            pos += 1
+        else:
+            if not tight:
+                best[:] = seq
+                improved = True
+        for t in forced:
+            placed[t] -= 1
+        del seq[start:]
+        return improved
 
-    rec(0)
+    search(0, [0] * n, False)
     return (n, tuple(color_seq), tuple(best))
 
 
@@ -188,6 +229,22 @@ class GradedPoset:
         object.__setattr__(self, "_below", None)
         object.__setattr__(self, "_alpha", None)
         object.__setattr__(self, "_beta", None)
+
+    @classmethod
+    def _valid(cls, ranks: tuple[int, ...],
+               covers: tuple[tuple[int, int], ...]) -> "GradedPoset":
+        """Trusted constructor for ranks and covers that are valid and
+        sorted by construction, with the default labels: skips __init__'s
+        checks and sort."""
+        poset = object.__new__(cls)
+        object.__setattr__(poset, "ranks", ranks)
+        object.__setattr__(poset, "covers", covers)
+        object.__setattr__(poset, "labels",
+                           tuple(str(i) for i in range(len(ranks))))
+        object.__setattr__(poset, "_below", None)
+        object.__setattr__(poset, "_alpha", None)
+        object.__setattr__(poset, "_beta", None)
+        return poset
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPoset is immutable")
@@ -753,7 +810,7 @@ def level_word_poset(word: tuple[str, ...]) -> GradedPoset:
     """The bounded graded poset of a level word (see salient.mfenum): one
     token per interior level, bottom-up, "1" for a singleton and K, M, P or
     P' for a pair by its join with the level below; the top is one more
-    singleton level."""
+    singleton level. The covers come out sorted, level by level."""
     ranks = [0]
     covers: list[tuple[int, int]] = []
     low, size = 0, 1  # the first element and size of the level below
@@ -766,7 +823,7 @@ def level_word_poset(word: tuple[str, ...]) -> GradedPoset:
                               f"size {size}") from None
         low, size = e, 1 if join == "1" else 2
         ranks += [r] * size
-    return GradedPoset(ranks, covers)
+    return GradedPoset._valid(tuple(ranks), tuple(covers))
 
 
 def lattice_from_gamma(gamma: str) -> GradedPoset:
@@ -894,7 +951,7 @@ def all_bounded_graded_posets(max_rank: int,
     out: list[GradedPoset] = []
     for n, interiors in enumerate(_iso_sweep(max_size - 2)):
         for interior in interiors:
-            heights = _heights(n, interior.down)
+            heights = _heights(_bit_lists(interior.down))
             h = max(heights, default=-1) + 1
             up = interior.up()
             maximal = [e for e in range(n) if not up[e]]

@@ -7,10 +7,11 @@ import pytest
 from salient import _kernels
 from salient.acceptance import DISTLAT_COUNTS
 from salient.errors import DomainError, GuardExceeded
-from salient.posets import (GradedPoset, NaturalPoset, _check_chain_table,
-                            _iso_sweep, all_bounded_graded_posets,
+from salient.posets import (ISO_SIZE, GradedPoset, NaturalPoset,
+                            _check_chain_table, _iso_sweep, all_bounded_graded_posets,
                             all_natural_posets, all_posets_up_to_iso,
-                            are_isomorphic, check_gamma, gamma_words,
+                            are_isomorphic, canonical_relation_key,
+                            check_gamma, gamma_words,
                             lattice_from_gamma, level_word_poset,
                             q_from_commuting_word, q_from_gamma,
                             random_graded_poset)
@@ -487,6 +488,136 @@ def test_isomorphism_examples():
     assert not are_isomorphic(a, NaturalPoset.chain(3))
     with pytest.raises(GuardExceeded):
         NaturalPoset.antichain(25).canonical_key()
+    # twin-heavy inputs: an antichain has ISO_SIZE! orderings, all one key
+    assert NaturalPoset.antichain(ISO_SIZE).canonical_key() == (
+        ISO_SIZE, (0,) * ISO_SIZE, (0,) * ISO_SIZE)
+    stacked = level_word_poset(("K",) * 10)
+    assert stacked.size == 22
+    perm = random.Random(15).sample(range(22), 22)
+    ranks = [0] * 22
+    for e, r in enumerate(stacked.ranks):
+        ranks[perm[e]] = r
+    covers = [(perm[lo], perm[hi]) for lo, hi in stacked.covers]
+    assert (GradedPoset(ranks, covers).canonical_key()
+            == stacked.canonical_key())
+
+
+# The search of canonical_relation_key before twin pruning and incremental
+# rows, kept verbatim as the reference: the keys must not change.
+
+def _ref_iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _ref_heights(n: int, below) -> list[int]:
+    heights = [0] * n
+    for i in sorted(range(n), key=lambda e: bin(below[e]).count("1")):
+        heights[i] = 1 + max((heights[j] for j in _ref_iter_bits(below[i])),
+                             default=-1)
+    return heights
+
+
+def _ref_refine_colors(n: int, below, above, init) -> list[int]:
+    ranking = {c: r for r, c in enumerate(sorted(set(init)))}
+    colors = [ranking[c] for c in init]
+    while True:
+        sigs = []
+        for i in range(n):
+            down_sig = tuple(sorted(colors[j]
+                                    for j in _ref_iter_bits(below[i])))
+            up_sig = tuple(sorted(colors[j]
+                                  for j in _ref_iter_bits(above[i])))
+            sigs.append((colors[i], down_sig, up_sig))
+        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _ref_canonical_relation_key(n: int, below) -> tuple:
+    if n == 0:
+        return (0, (), ())
+    above = [0] * n
+    for i in range(n):
+        for j in _ref_iter_bits(below[i]):
+            above[j] |= 1 << i
+    colors = _ref_refine_colors(n, below, above, _ref_heights(n, below))
+    color_seq = sorted(colors)
+
+    best: list[int] | None = None
+    placed: list[int] = []
+    rows: list[int] = []
+    used = [False] * n
+
+    def rec(pos: int) -> None:
+        nonlocal best
+        if pos == n:
+            if best is None or rows < best:
+                best = rows.copy()
+            return
+        req = color_seq[pos]
+        grouped: dict[int, list[int]] = {}
+        for i in range(n):
+            if used[i] or colors[i] != req:
+                continue
+            row = 0
+            for idx, p in enumerate(placed):
+                if below[i] >> p & 1:
+                    row |= 1 << (2 * idx)
+                if below[p] >> i & 1:
+                    row |= 1 << (2 * idx + 1)
+            grouped.setdefault(row, []).append(i)
+        for row in sorted(grouped):
+            if best is not None:
+                rows.append(row)
+                worse = rows > best[: pos + 1]
+                rows.pop()
+                if worse:
+                    break
+            for i in grouped[row]:
+                used[i] = True
+                placed.append(i)
+                rows.append(row)
+                rec(pos + 1)
+                rows.pop()
+                placed.pop()
+                used[i] = False
+
+    rec(0)
+    return (n, tuple(color_seq), tuple(best))
+
+
+def test_canonical_key_against_the_reference_search():
+    rng = random.Random(15)
+    for n in range(7):
+        for q in all_natural_posets(n):
+            assert q.canonical_key() == _ref_canonical_relation_key(n, q.down)
+            perm = rng.sample(range(n), n)
+            below = [0] * n
+            for i, mask in enumerate(q.down):
+                for j in range(n):
+                    if mask >> j & 1:
+                        below[perm[i]] |= 1 << perm[j]
+            assert (canonical_relation_key(n, below)
+                    == _ref_canonical_relation_key(n, below))
+    graded = [*generate_mf_posets("rank", 6),
+              *generate_mf_posets("elements", 10),
+              *all_bounded_graded_posets(4, 9)]
+    for p in graded:
+        assert p.canonical_key() == _ref_canonical_relation_key(
+            p.size, p.below_masks())
+
+
+def test_level_word_poset_trusted_constructor():
+    """level_word_poset skips GradedPoset's checks; the public constructor
+    accepts its ranks and covers and gives an equal poset."""
+    for p in generate_mf_posets("rank", 7):
+        assert type(p.ranks) is tuple and type(p.covers) is tuple
+        assert GradedPoset(p.ranks, p.covers) == p
 
 
 def test_natural_poset_counts():
