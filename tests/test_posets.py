@@ -8,7 +8,8 @@ from salient import _kernels
 from salient.acceptance import DISTLAT_COUNTS
 from salient.errors import DomainError, GuardExceeded
 from salient.posets import (ISO_SIZE, GradedPoset, NaturalPoset,
-                            _check_chain_table, _iso_sweep, all_bounded_graded_posets,
+                            _check_chain_table, _iso_sweep,
+                            all_bounded_graded_posets,
                             all_natural_posets, all_posets_up_to_iso,
                             are_isomorphic, canonical_relation_key,
                             check_gamma, gamma_words,
@@ -502,8 +503,9 @@ def test_isomorphism_examples():
             == stacked.canonical_key())
 
 
-# The search of canonical_relation_key before twin pruning and incremental
-# rows, kept verbatim as the reference: the keys must not change.
+# The reference for canonical_relation_key: the same refinement and
+# lexicographically least row encoding, searched with rows rebuilt at every
+# node and no twin pruning. The keys must agree exactly.
 
 def _ref_iter_bits(mask: int):
     while mask:
