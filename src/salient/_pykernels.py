@@ -5,9 +5,10 @@ extensions of a natural poset by descent set, and computing the flag f/h
 vectors of its lattice of order ideals. descent_vector, natural_flag_vectors
 and zeta_vector have compiled twins in salient._ckernels with identical
 contracts, and salient._kernels selects whichever is importable.
-order_ideals, chain_counts and moebius_vector have no twin: they are the one
-ideal enumerator, chain counter and Moebius transform of the pure path, which
-salient.posets calls directly for posets of every kind.
+order_ideals, chain_counts, flag_h_vector and moebius_vector have no twin:
+they are the one ideal enumerator, chain counter, flag h-vector and Moebius
+transform of the pure path, which salient.posets calls directly for posets
+of every kind.
 
 descent_vector is a brute force: it reaches every linear extension once,
 depth first, and does little interpreter work per extension. Each placed
@@ -23,6 +24,16 @@ moebius_vector are one butterfly over list slices (Yates' method, the fast
 zeta/Moebius transform of Bjorklund, Husfeldt, Kaski and Koivisto),
 differing only in the operator.
 
+Every flag h-vector beta of the pure path comes from flag_h_vector, after
+the f-vector alpha. It chooses from the layer sizes alone
+(moebius_by_recursion): the Moebius mode of chain_counts, which builds beta
+by the same recursion, block by block, where it sums no more entries than
+the butterfly's (n-1) * 2^(n-2), and moebius_vector(alpha) otherwise. Thin
+posets of rank 13 or more, such as the lattices L(gamma), take the
+recursion; wide ones, such as Boolean lattices and most ideal lattices of
+seven-element posets, the butterfly. moebius_vector also stays the inverse
+of zeta_vector and the reference the tests hold both passes to.
+
 Conventions shared by both backends:
 
 * a natural poset on n elements is passed as ``down``, a sequence where
@@ -33,6 +44,7 @@ Conventions shared by both backends:
 """
 from __future__ import annotations
 
+import itertools
 import operator
 
 from salient.errors import GuardExceeded
@@ -101,8 +113,16 @@ def order_ideals(down, cap: int | None = None) -> list[int]:
     return ideals
 
 
-def chain_counts(layers) -> list[int]:
-    """Flag f-vector of a graded poset of rank n = len(layers) - 1.
+def layer_entries(sizes) -> list[int]:
+    """Entries of a chain-count table by rank: with sizes[r] elements of
+    rank r, chain_counts keeps 2^(r-1) entries for each element of rank r
+    >= 1, so entry r - 1 of the result is sizes[r] * 2^(r-1)."""
+    return [count << r >> 1 for r, count in enumerate(sizes) if r]
+
+
+def chain_counts(layers, moebius: bool = False) -> list[int]:
+    """Flag f-vector of a graded poset of rank n = len(layers) - 1, or with
+    moebius=True its flag h-vector.
 
     layers[r] lists the rank-r elements as down-closed bitmasks, so x <= y
     exactly when mask x is a subset of mask y. Entry S of the result counts
@@ -116,6 +136,11 @@ def chain_counts(layers) -> list[int]:
     s, and is the entry-wise sum of f(x) over the x < y of rank s. The
     result is f of a virtual top above every element, so ranks 0 and n
     never enter a chain.
+
+    Moebius mode builds the flag h-vector b(y) of each element the same
+    way. A rank set with largest rank s splits into the sets that keep s
+    and those that drop it, so block s of b(y) is the sum of b(x) over the
+    x < y of rank s minus b(y)[:2^(s-1)], the prefix built so far.
     """
     n = len(layers) - 1
     if n <= 0:
@@ -130,16 +155,48 @@ def chain_counts(layers) -> list[int]:
             for s, lower in enumerate(done, 1):
                 block = [fx for x, fx in lower if not x & ~y]
                 if len(block) == 1:
-                    vec += block[0]
+                    total = block[0]
                 elif len(block) == 2:
-                    vec += map(operator.add, *block)
+                    total = map(operator.add, *block)
                 elif block:
-                    vec += map(sum, zip(*block))
+                    total = map(sum, zip(*block))
                 else:
-                    vec += [0] * (1 << (s - 1))
+                    total = itertools.repeat(0, 1 << (s - 1))
+                # total has exactly len(vec) entries, and map stops when it
+                # runs out, so it never reads the entries it appends
+                vec += map(operator.sub, total, vec) if moebius else total
             rows.append((y, vec))
         done.append(rows)
     return done[-1][0][1]
+
+
+def moebius_by_recursion(sizes) -> bool:
+    """Whether the flag h-vector of a bounded graded poset with sizes[r]
+    elements of rank r costs no more by chain_counts(..., moebius=True)
+    than by the butterfly of moebius_vector.
+
+    An element of rank r sums at most the vectors of every lower element,
+    so the recursion adds at most sum_r sizes[r] * sum_{s<r} sizes[s] *
+    2^(s-1) entries; the butterfly does (n-1) * 2^(n-2) subtractions. Thin
+    posets (at most two elements per rank) of rank 13 or more take the
+    recursion, wide ones such as Boolean lattices the butterfly.
+    """
+    n = len(sizes) - 1
+    below = work = 0
+    for count, entries in zip(sizes[1:], layer_entries(sizes)):
+        work += count * below
+        below += entries
+    return n > 1 and work <= (n - 1) << (n - 2)
+
+
+def flag_h_vector(layers, alpha) -> list[int]:
+    """Flag h-vector of the bounded graded poset given as for chain_counts,
+    whose flag f-vector alpha = chain_counts(layers) is already built: by
+    the Moebius mode of chain_counts where moebius_by_recursion says it is
+    no dearer, and otherwise by moebius_vector(alpha)."""
+    if moebius_by_recursion(list(map(len, layers))):
+        return chain_counts(layers, moebius=True)
+    return moebius_vector(alpha, max(len(layers) - 2, 0))
 
 
 def natural_flag_vectors(n: int, down) -> tuple[list[int], list[int]]:
@@ -147,8 +204,8 @@ def natural_flag_vectors(n: int, down) -> tuple[list[int], list[int]]:
 
     Returns (alpha, beta). alpha[S] counts chains of ideals whose sizes hit
     exactly the ranks in S; beta is the inclusion-exclusion transform of
-    alpha. Ideal enumeration relies on naturality (down[i] has only bits
-    below i).
+    alpha (see flag_h_vector). Ideal enumeration relies on naturality
+    (down[i] has only bits below i).
     """
     if n <= 0:
         return [1], [1]
@@ -156,7 +213,7 @@ def natural_flag_vectors(n: int, down) -> tuple[list[int], list[int]]:
     for m in order_ideals(down):
         layers[bin(m).count("1")].append(m)
     alpha = chain_counts(layers)
-    return alpha, moebius_vector(alpha, n - 1)
+    return alpha, flag_h_vector(layers, alpha)
 
 
 # Entries per slice in _butterfly: slices of at most this many entries keep

@@ -57,9 +57,12 @@ def ranks_from_mask(mask: int) -> frozenset[int]:
 def _check_chain_table(sizes, max_rank: int) -> None:
     """Raise GuardExceeded when chain counting over layers of these sizes
     would keep more than 2^(max_rank+1) entries. _pykernels.chain_counts
-    keeps 2^(r-1) of them for each element of rank r >= 1, so a poset with at
-    most two elements per rank and rank <= max_rank always fits."""
-    entries = sum(count << r >> 1 for r, count in enumerate(sizes) if r)
+    keeps 2^(r-1) of them for each element of rank r >= 1
+    (_pykernels.layer_entries), so a poset with at most two elements per
+    rank and rank <= max_rank always fits. A flag h-vector computed by the
+    Moebius mode of chain_counts keeps as many entries again, but only
+    after the f-vector pass has returned and freed its table."""
+    entries = sum(_pykernels.layer_entries(sizes))
     if entries > 1 << (max_rank + 1):
         raise GuardExceeded(
             f"chain counts need {entries} entries, more than "
@@ -202,7 +205,8 @@ def canonical_relation_key(n: int, below) -> tuple:
 class GradedPoset:
     """Finite graded poset: ranked elements plus rank-increasing covers."""
 
-    __slots__ = ("ranks", "covers", "labels", "_below", "_alpha", "_beta")
+    __slots__ = ("ranks", "covers", "labels", "_below", "_alpha", "_beta",
+                 "_layer_masks")
 
     def __init__(self, ranks, covers, labels=None):
         ranks = tuple(ranks)
@@ -229,6 +233,7 @@ class GradedPoset:
         object.__setattr__(self, "_below", None)
         object.__setattr__(self, "_alpha", None)
         object.__setattr__(self, "_beta", None)
+        object.__setattr__(self, "_layer_masks", None)
 
     @classmethod
     def _valid(cls, ranks: tuple[int, ...],
@@ -244,6 +249,7 @@ class GradedPoset:
         object.__setattr__(poset, "_below", None)
         object.__setattr__(poset, "_alpha", None)
         object.__setattr__(poset, "_beta", None)
+        object.__setattr__(poset, "_layer_masks", None)
         return poset
 
     def __setattr__(self, name, value):
@@ -327,19 +333,22 @@ class GradedPoset:
             if self.rank > FLAG_RANK:
                 raise GuardExceeded(
                     f"flag vectors limited to rank {FLAG_RANK}")
-            _check_chain_table(self.layer_sizes(), FLAG_RANK)
+            layers = self.layers()
+            _check_chain_table(list(map(len, layers)), FLAG_RANK)
             self._require_bounded()
             below = self.below_masks()
-            alpha = _pykernels.chain_counts(
-                [[below[e] | 1 << e for e in layer]
-                 for layer in self.layers()])
-            object.__setattr__(self, "_alpha", alpha)
+            masks = [[below[e] | 1 << e for e in layer] for layer in layers]
+            object.__setattr__(self, "_alpha", _pykernels.chain_counts(masks))
+            object.__setattr__(self, "_layer_masks", masks)
         return self._alpha
 
     def flag_beta_vector(self) -> list[int]:
+        """beta, the flag h-vector, indexed like flag_alpha_vector; computed
+        from alpha and the layer masks that flag_alpha_vector built, by
+        _pykernels.flag_h_vector."""
         alpha = self.flag_alpha_vector()
         if self._beta is None:
-            beta = _pykernels.moebius_vector(alpha, max(self.rank - 1, 0))
+            beta = _pykernels.flag_h_vector(self._layer_masks, alpha)
             object.__setattr__(self, "_beta", beta)
         return self._beta
 

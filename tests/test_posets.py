@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from salient import _kernels
+from salient import _kernels, _pykernels
 from salient.acceptance import DISTLAT_COUNTS
 from salient.errors import DomainError, GuardExceeded
 from salient.posets import (ISO_SIZE, GradedPoset, NaturalPoset,
@@ -98,12 +98,74 @@ def test_flag_alpha_vector_against_brute_force_chains():
         assert poset.flag_alpha_vector() == _brute_force_alpha(poset)
 
 
+def _ideal_layers(q):
+    # the order ideals of a natural poset by size, as natural_flag_vectors
+    # hands them to the chain counter
+    layers = [[] for _ in range(q.n + 1)]
+    for m in _pykernels.order_ideals(q.down):
+        layers[m.bit_count()].append(m)
+    return layers
+
+
 def test_moebius_inversion_round_trip():
-    for poset in (GradedPoset.boolean_lattice(3), lattice_from_gamma("0101"),
-                  q_from_commuting_word(5).ideals_lattice()):
-        alpha = poset.flag_alpha_vector()
-        beta = poset.flag_beta_vector()
-        assert _kernels.zeta_vector(beta, max(poset.rank - 1, 0)) == alpha
+    # both ways to beta, forced on every input: the Moebius mode of
+    # chain_counts and the butterfly; flag_h_vector picks one of them
+    posets = [GradedPoset.boolean_lattice(3), lattice_from_gamma("0101"),
+              q_from_commuting_word(5).ideals_lattice()]
+    posets += [lattice_from_gamma(g)
+               for rank in range(1, 12) for g in gamma_words(rank)]
+    posets += all_bounded_graded_posets(4, 9)
+    for poset in posets:
+        poset.flag_alpha_vector()  # builds the layer masks
+    cases = [(p, p._layer_masks) for p in posets]
+    naturals = [q for n in range(7) for q in all_natural_posets(n)]
+    cases += [(q, _ideal_layers(q)) for q in naturals]
+    assert len(cases) == 3 + 513 + 369 + 5232
+    for poset, layers in cases:
+        alpha = _pykernels.chain_counts(layers)
+        nbits = max(len(layers) - 2, 0)
+        beta = _pykernels.moebius_vector(alpha, nbits)
+        assert _pykernels.chain_counts(layers, moebius=True) == beta
+        assert _pykernels.flag_h_vector(layers, alpha) == beta
+        assert _kernels.zeta_vector(beta, nbits) == alpha
+        if isinstance(poset, GradedPoset):
+            assert (poset.flag_alpha_vector(), poset.flag_beta_vector()) == (
+                alpha, beta)
+        else:
+            assert _pykernels.natural_flag_vectors(poset.n, poset.down) == (
+                alpha, beta)
+
+
+def test_flag_h_vector_takes_the_cheaper_pass(monkeypatch):
+    # thin lattices (two elements per interior rank) switch to the Moebius
+    # mode of chain_counts at rank 13; Boolean lattices keep the butterfly
+    for rank in range(2, 21):
+        sizes = lattice_from_gamma(gamma_words(rank)[0]).layer_sizes()
+        assert sizes == (1,) + (2,) * (rank - 1) + (1,)
+        assert _pykernels.moebius_by_recursion(sizes) == (rank >= 13)
+    for k in range(1, 11):
+        assert not _pykernels.moebius_by_recursion(
+            GradedPoset.boolean_lattice(k).layer_sizes())
+    butterfly = _pykernels.moebius_vector
+    calls = []
+
+    def spy(vec, nbits):
+        calls.append(nbits)
+        return butterfly(vec, nbits)
+
+    monkeypatch.setattr(_pykernels, "moebius_vector", spy)
+    gamma = "01" + "1" * 11
+    thin = lattice_from_gamma(gamma)
+    assert thin.rank == 14
+    beta = thin.flag_beta_vector()
+    q = q_from_gamma(gamma)
+    assert _pykernels.natural_flag_vectors(q.n, q.down)[1] == beta
+    assert calls == []
+    assert beta == butterfly(thin.flag_alpha_vector(), 13)
+    boolean = GradedPoset.boolean_lattice(5)
+    assert boolean.flag_beta_vector() == butterfly(
+        boolean.flag_alpha_vector(), 4)
+    assert calls == [4]
 
 
 def test_gamma_flag_vectors_against_descents_to_rank_11():
@@ -111,10 +173,15 @@ def test_gamma_flag_vectors_against_descents_to_rank_11():
     # is the flag h-vector of its ideal lattice, lattice_from_gamma
     words = [g for rank in range(1, 12) for g in gamma_words(rank)]
     assert len(words) == 513
+    # and a seeded sample past rank 11: from rank 13 on, beta comes from
+    # the Moebius mode of chain_counts rather than the butterfly
+    rng = random.Random(16)
+    words += [g for rank in range(12, 16)
+              for g in rng.sample(gamma_words(rank), 3)]
     for gamma in words:
         q = q_from_gamma(gamma)
         alpha, beta = q.jq_flag_vectors()
-        assert q.descent_vector() == beta
+        assert q.descent_vector(max_size=q.n) == beta
         assert lattice_from_gamma(gamma).flag_beta_vector() == beta
         assert set(beta) <= {-1, 0, 1}
         assert _kernels.zeta_vector(beta, max(q.n - 1, 0)) == alpha
