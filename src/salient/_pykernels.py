@@ -138,14 +138,18 @@ def chain_counts(layers, moebius: bool = False) -> list[int]:
     never enter a chain.
 
     Moebius mode builds the flag h-vector b(y) of each element the same
-    way. A rank set with largest rank s splits into the sets that keep s
-    and those that drop it, so block s of b(y) is the sum of b(x) over the
-    x < y of rank s minus b(y)[:2^(s-1)], the prefix built so far.
+    way. In the alternating sum b(y)[S] over the subsets T of a rank set S
+    with largest rank s, the T holding s give the sum of b(x)[S - {s}] over
+    the x < y of rank s, and the others give -b(y)[S - {s}]. So block s of
+    b(y) is the sum of b(x) over the x < y of rank s minus b(y)[:2^(s-1)],
+    the prefix built so far. flag_h_vector takes this mode instead of the
+    butterfly of moebius_vector where moebius_by_recursion finds it no
+    dearer.
     """
     n = len(layers) - 1
     if n <= 0:
         return [1]
-    # done[s - 1] pairs each element of rank s with its vector f
+    # done[s - 1] pairs each element of rank s with its vector f (or b)
     done: list[list[tuple[int, list[int]]]] = []
     for r in range(1, n + 1):
         # at r = n, the virtual top: mask -1 holds every mask
