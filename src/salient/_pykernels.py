@@ -5,10 +5,10 @@ extensions of a natural poset by descent set, and computing the flag f/h
 vectors of its lattice of order ideals. descent_vector, natural_flag_vectors
 and zeta_vector have compiled twins in salient._ckernels with identical
 contracts, and salient._kernels selects whichever is importable.
-order_ideals, chain_counts, flag_h_vector and moebius_vector have no twin:
-they are the one ideal enumerator, chain counter, flag h-vector and Moebius
-transform of the pure path, which salient.posets calls directly for posets
-of every kind.
+order_ideals, chain_counts, flag_vectors and moebius_vector have no twin:
+they are the one ideal enumerator, chain counter, flag vector pass and
+Moebius transform of the pure path, which salient.posets calls directly for
+posets of every kind.
 
 descent_vector is a brute force: it reaches every linear extension once,
 depth first, and does little interpreter work per extension. Each placed
@@ -24,15 +24,16 @@ moebius_vector are one butterfly over list slices (Yates' method, the fast
 zeta/Moebius transform of Bjorklund, Husfeldt, Kaski and Koivisto),
 differing only in the operator.
 
-Every flag h-vector beta of the pure path comes from flag_h_vector, after
-the f-vector alpha. It chooses from the layer sizes alone
-(moebius_by_recursion): the Moebius mode of chain_counts, which builds beta
-by the same recursion, block by block, where it sums no more entries than
-the butterfly's (n-1) * 2^(n-2), and moebius_vector(alpha) otherwise. Thin
-posets of rank 13 or more, such as the lattices L(gamma), take the
-recursion; wide ones, such as Boolean lattices and most ideal lattices of
-seven-element posets, the butterfly. moebius_vector also stays the inverse
-of zeta_vector and the reference the tests hold both passes to.
+Every flag vector pair (alpha, beta) of the pure path comes from
+flag_vectors, beta after alpha. For beta it chooses from the layer sizes
+alone (moebius_by_recursion): the Moebius mode of chain_counts, which
+builds beta by the same recursion, block by block, where it sums no more
+entries than the butterfly's (n-1) * 2^(n-2), and moebius_vector(alpha)
+otherwise. Thin posets of rank 13 or more, such as the lattices
+L(gamma), take the recursion; wide ones, such as Boolean lattices and most
+ideal lattices of seven-element posets, the butterfly. moebius_vector also
+stays the inverse of zeta_vector and the reference the tests hold both
+passes to.
 
 Conventions shared by both backends:
 
@@ -142,7 +143,7 @@ def chain_counts(layers, moebius: bool = False) -> list[int]:
     with largest rank s, the T holding s give the sum of b(x)[S - {s}] over
     the x < y of rank s, and the others give -b(y)[S - {s}]. So block s of
     b(y) is the sum of b(x) over the x < y of rank s minus b(y)[:2^(s-1)],
-    the prefix built so far. flag_h_vector takes this mode instead of the
+    the prefix built so far. flag_vectors takes this mode instead of the
     butterfly of moebius_vector where moebius_by_recursion finds it no
     dearer.
     """
@@ -193,14 +194,15 @@ def moebius_by_recursion(sizes) -> bool:
     return n > 1 and work <= (n - 1) << (n - 2)
 
 
-def flag_h_vector(layers, alpha) -> list[int]:
-    """Flag h-vector of the bounded graded poset given as for chain_counts,
-    whose flag f-vector alpha = chain_counts(layers) is already built: by
-    the Moebius mode of chain_counts where moebius_by_recursion says it is
-    no dearer, and otherwise by moebius_vector(alpha)."""
+def flag_vectors(layers) -> tuple[list[int], list[int]]:
+    """Flag f- and h-vectors (alpha, beta) of the bounded graded poset given
+    as for chain_counts. alpha is chain_counts(layers); beta comes from the
+    Moebius mode of chain_counts where moebius_by_recursion says it is no
+    dearer, and from moebius_vector(alpha) otherwise."""
+    alpha = chain_counts(layers)
     if moebius_by_recursion(list(map(len, layers))):
-        return chain_counts(layers, moebius=True)
-    return moebius_vector(alpha, max(len(layers) - 2, 0))
+        return alpha, chain_counts(layers, moebius=True)
+    return alpha, moebius_vector(alpha, max(len(layers) - 2, 0))
 
 
 def natural_flag_vectors(n: int, down) -> tuple[list[int], list[int]]:
@@ -208,7 +210,7 @@ def natural_flag_vectors(n: int, down) -> tuple[list[int], list[int]]:
 
     Returns (alpha, beta). alpha[S] counts chains of ideals whose sizes hit
     exactly the ranks in S; beta is the inclusion-exclusion transform of
-    alpha (see flag_h_vector). Ideal enumeration relies on naturality
+    alpha (see flag_vectors). Ideal enumeration relies on naturality
     (down[i] has only bits below i).
     """
     if n <= 0:
@@ -216,8 +218,7 @@ def natural_flag_vectors(n: int, down) -> tuple[list[int], list[int]]:
     layers: list[list[int]] = [[] for _ in range(n + 1)]
     for m in order_ideals(down):
         layers[bin(m).count("1")].append(m)
-    alpha = chain_counts(layers)
-    return alpha, flag_h_vector(layers, alpha)
+    return flag_vectors(layers)
 
 
 # Entries per slice in _butterfly: slices of at most this many entries keep

@@ -133,8 +133,9 @@ def cmd_multiset(args) -> int:
     if args.count_only:
         if args.limit_given:
             raise DomainError(
-                "--limit does not apply to --count-only (the count has a "
-                f"fixed size cap of {series.DEFAULT_CF_TOTAL_CAP})")
+                "--limit does not apply to --count-only (the count is "
+                f"guarded by its exponent box, at most {series.CF_BOX_CAP} "
+                "entries)")
         print(series.multiset_count_cf(spec))
         return 0
     partition = classes.multiset_class_partition(spec, max_total=args.limit)
@@ -144,7 +145,7 @@ def cmd_multiset(args) -> int:
 
 def cmd_cf(args) -> int:
     caps = _int_list(args.caps, "--caps")
-    ts = series.cf_series(args.n, caps, max_total=args.limit)
+    ts = series.cf_series(args.n, caps)
     if args.format == "json":
         print(json.dumps(_series_json(ts)))
     else:
@@ -300,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cf", help="commutation series coefficients")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--caps", required=True, help="per-variable caps, e.g. 2,1,2")
-    p.add_argument("--limit", type=int, default=series.DEFAULT_CF_TOTAL_CAP,
-                   help="override the total-cap guard")
     add_format(p)
     p.set_defaults(func=cmd_cf)
 

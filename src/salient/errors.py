@@ -2,22 +2,21 @@
 
 Exceeding a guard raises GuardExceeded (CLI exit code 2); nothing is ever
 silently truncated. A guard is a keyword argument only where a caller sets
-it. Its DEFAULT_* constant is the keyword default and, for the seven guards
+it. Its DEFAULT_* constant is the keyword default and, for the six guards
 behind the CLI's --limit, that flag's default too. These keyword guards are
 the brute-force n caps of classes.class_partition and
 classes.count_singletons, the orbit member cap of classes.class_of, the
-multiset size cap of classes.multiset_class_partition, the total cap of
-series.cf_series, the order cap of series.g_umbral_series, and the size caps
-of NaturalPoset.extension_count (on the CLI) and
-NaturalPoset.descent_vector. Every other guard is a fixed module constant:
-posets.ISO_SIZE, posets.IDEAL_CAP, posets.EXTENSION_LIST_SIZE,
-posets.FLAG_RANK, posets.NATURAL_SWEEP, posets.GRADED_SWEEP_RANK and
-posets.GRADED_SWEEP_SIZE; series.CF_BOX_CAP and series.PROFILE_CAP;
-mfenum.MAX_RANK, mfenum.MAX_ELEMENTS and mfenum.MAX_FAMILY.
-classes.count_classes_brute and the brute branch of classes.f_j_count keep
-to classes.DEFAULT_BRUTE_N, and series.multiset_count_cf to
-series.DEFAULT_CF_TOTAL_CAP. Malformed input raises DomainError (CLI exit
-code 1).
+multiset size cap of classes.multiset_class_partition, the order cap of
+series.g_umbral_series, and the size caps of NaturalPoset.extension_count
+(on the CLI) and NaturalPoset.descent_vector. Every other guard is a fixed
+module constant: posets.ISO_SIZE, posets.IDEAL_CAP,
+posets.EXTENSION_LIST_SIZE, posets.FLAG_RANK, posets.NATURAL_SWEEP,
+posets.GRADED_SWEEP_RANK and posets.GRADED_SWEEP_SIZE; series.CF_BOX_CAP
+(the exponent box of series.cf_series and so of series.multiset_count_cf)
+and series.PROFILE_CAP; mfenum.MAX_RANK, mfenum.MAX_ELEMENTS and
+mfenum.MAX_FAMILY. classes.count_classes_brute and the brute branch of
+classes.f_j_count keep to classes.DEFAULT_BRUTE_N. Malformed input raises
+DomainError (CLI exit code 1).
 """
 
 

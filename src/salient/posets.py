@@ -205,15 +205,14 @@ def canonical_relation_key(n: int, below) -> tuple:
 class GradedPoset:
     """Finite graded poset: ranked elements plus rank-increasing covers."""
 
-    __slots__ = ("ranks", "covers", "labels", "_below", "_alpha", "_beta",
-                 "_layer_masks")
+    __slots__ = ("ranks", "covers", "labels", "_below", "_flags")
 
     def __init__(self, ranks, covers, labels=None):
         ranks = tuple(ranks)
         covers = tuple(sorted(tuple(c) for c in covers))
         size = len(ranks)
         for r in ranks:
-            if not isinstance(r, int) or r < 0:
+            if isinstance(r, bool) or not isinstance(r, int) or r < 0:
                 raise DomainError(f"bad rank {r!r}")
         for lo, hi in covers:
             if not (0 <= lo < size and 0 <= hi < size):
@@ -231,9 +230,7 @@ class GradedPoset:
         object.__setattr__(self, "covers", covers)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_below", None)
-        object.__setattr__(self, "_alpha", None)
-        object.__setattr__(self, "_beta", None)
-        object.__setattr__(self, "_layer_masks", None)
+        object.__setattr__(self, "_flags", None)
 
     @classmethod
     def _valid(cls, ranks: tuple[int, ...],
@@ -247,9 +244,7 @@ class GradedPoset:
         object.__setattr__(poset, "labels",
                            tuple(str(i) for i in range(len(ranks))))
         object.__setattr__(poset, "_below", None)
-        object.__setattr__(poset, "_alpha", None)
-        object.__setattr__(poset, "_beta", None)
-        object.__setattr__(poset, "_layer_masks", None)
+        object.__setattr__(poset, "_flags", None)
         return poset
 
     def __setattr__(self, name, value):
@@ -328,8 +323,9 @@ class GradedPoset:
 
         The vector has 2^(rank-1) entries, so ranks above FLAG_RANK raise
         GuardExceeded before it is built, as do layers too wide for the
-        chain-count table (see _check_chain_table)."""
-        if self._alpha is None:
+        chain-count table (see _check_chain_table). Builds alpha and beta
+        together, by _pykernels.flag_vectors."""
+        if self._flags is None:
             if self.rank > FLAG_RANK:
                 raise GuardExceeded(
                     f"flag vectors limited to rank {FLAG_RANK}")
@@ -338,19 +334,14 @@ class GradedPoset:
             self._require_bounded()
             below = self.below_masks()
             masks = [[below[e] | 1 << e for e in layer] for layer in layers]
-            object.__setattr__(self, "_alpha", _pykernels.chain_counts(masks))
-            object.__setattr__(self, "_layer_masks", masks)
-        return self._alpha
+            object.__setattr__(self, "_flags", _pykernels.flag_vectors(masks))
+        return self._flags[0]
 
     def flag_beta_vector(self) -> list[int]:
-        """beta, the flag h-vector, indexed like flag_alpha_vector; computed
-        from alpha and the layer masks that flag_alpha_vector built, by
-        _pykernels.flag_h_vector."""
-        alpha = self.flag_alpha_vector()
-        if self._beta is None:
-            beta = _pykernels.flag_h_vector(self._layer_masks, alpha)
-            object.__setattr__(self, "_beta", beta)
-        return self._beta
+        """beta, the flag h-vector, indexed like flag_alpha_vector and built
+        with it."""
+        self.flag_alpha_vector()
+        return self._flags[1]
 
     def alpha(self, ranks) -> int:
         return self.flag_alpha_vector()[mask_from_ranks(ranks, self.rank)]
@@ -455,7 +446,7 @@ class GradedPoset:
             data = json.loads(text)
             labels = [str(x) for x in data["elements"]]
             index = {lab: e for e, lab in enumerate(labels)}
-            ranks = [int(data["ranks"][lab]) for lab in labels]
+            ranks = [data["ranks"][lab] for lab in labels]
             covers = [(index[str(lo)], index[str(hi)])
                       for lo, hi in data["covers"]]
         except (KeyError, TypeError, ValueError) as exc:

@@ -27,7 +27,6 @@ from operator import sub
 from salient.errors import DomainError, GuardExceeded, InternalConsistencyError
 from salient.words import MultisetSpec
 
-DEFAULT_CF_TOTAL_CAP = 24
 CF_BOX_CAP = 10_000
 PROFILE_CAP = 200
 DEFAULT_UMBRAL_ORDER_CAP = 100
@@ -134,6 +133,8 @@ class TruncatedSeries:
 
     def coefficient(self, exps):
         exps = tuple(exps)
+        if len(exps) != len(self.caps) or any(e < 0 for e in exps):
+            raise DomainError(f"bad exponent vector {exps!r}")
         if any(e > c for e, c in zip(exps, self.caps)):
             raise DomainError(f"exponents {exps} exceed caps {self.caps}")
         return self.coeffs.get(exps, 0)
@@ -281,24 +282,22 @@ def expand_rational(numerator, denominator, caps, variables=("x", "y")):
 # commutation (trace monoid) generating functions
 # ---------------------------------------------------------------------------
 
-def cf_series(n: int, caps, max_total=DEFAULT_CF_TOTAL_CAP,
-              total_cap=None) -> TruncatedSeries:
+def cf_series(n: int, caps, total_cap=None) -> TruncatedSeries:
     """Truncated expansion of 1/(1 - sum x_i + sum x_i x_{i+1}).
 
     This is the generating function of the monoid on generators 1..n in which
     consecutive generators commute; the coefficient of a monomial counts the
-    interchange equivalence classes of words with that content.
+    interchange equivalence classes of words with that content. Its one
+    guard: an exponent box (the vectors under the caps and total_cap, which
+    the inverse visits) of more than CF_BOX_CAP entries raises GuardExceeded.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     caps = tuple(caps)
     if len(caps) != n:
         raise DomainError("need one cap per variable")
-    effective = sum(caps) if total_cap is None else min(sum(caps), total_cap)
-    if effective > max_total:
-        raise GuardExceeded(
-            f"total cap {effective} exceeds limit {max_total}")
-    _check_box(caps, effective)
+    _check_box(caps, sum(caps) if total_cap is None
+               else min(sum(caps), total_cap))
     variables = tuple(f"x{i}" for i in range(1, n + 1))
     terms: dict[tuple[int, ...], int] = {(0,) * n: 1}
     for i in range(n):
@@ -313,19 +312,14 @@ def cf_series(n: int, caps, max_total=DEFAULT_CF_TOTAL_CAP,
 
 
 def multiset_count_cf(spec: MultisetSpec) -> int:
-    """Number of interchange classes of arrangements of the multiset.
-
-    Reads off the coefficient of prod x_v^{r_v} in cf_series. The empty
-    multiset has one (empty) class.
-    """
+    """Number of interchange classes of arrangements of the multiset: the
+    coefficient of prod x^c in cf_series, c = spec.caps_vector(). Letters
+    commute only with their neighbours, so a gap of any width is one
+    zero-cap variable. The empty multiset has one (empty) class."""
     if spec.total == 0:
         return 1
-    if spec.total > DEFAULT_CF_TOTAL_CAP:
-        raise GuardExceeded(f"multiset size {spec.total} exceeds limit "
-                            f"{DEFAULT_CF_TOTAL_CAP}")
     caps = spec.caps_vector()
-    series = cf_series(len(caps), caps)
-    return series.coefficient(caps)
+    return cf_series(len(caps), caps).coefficient(caps)
 
 
 # ---------------------------------------------------------------------------

@@ -289,9 +289,14 @@ class MultisetSpec:
         return dict(self.counts).get(v, 0)
 
     def caps_vector(self) -> tuple[int, ...]:
-        """Multiplicities of 1..max_value, zeros filling gaps."""
-        m = dict(self.counts)
-        return tuple(m.get(v, 0) for v in range(1, self.max_value + 1))
+        """Multiplicities of the values present, in order, with one zero
+        for each gap between them however wide, and none below the least."""
+        out: list[int] = []
+        for i, (v, r) in enumerate(self.counts):
+            if i and v > self.counts[i - 1][0] + 1:
+                out.append(0)
+            out.append(r)
+        return tuple(out)
 
     def is_word_of(self, word) -> bool:
         return MultisetSpec.from_word(word) == self

@@ -8,8 +8,9 @@ from salient.errors import DomainError, GuardExceeded, OrbitOverflowError
 from salient.classes import (class_of, class_partition, class_size,
                              count_classes_brute, count_singletons,
                              f_inclusion_exclusion, f_j_count, f_series,
-                             multiset_class_partition, salient_representative,
-                             segment_decomposition, singleton_series)
+                             multiset_class_partition, parse_relation,
+                             salient_representative, segment_decomposition,
+                             singleton_series)
 from salient.posets import NaturalPoset
 from salient.words import MultisetSpec, fibonacci, identity, is_salient, reverse
 
@@ -43,6 +44,8 @@ def test_relation_validation():
         class_of((1, 1, 2), "geq:2")
     with pytest.raises(DomainError):
         class_of((1, 2), "frobnicate")
+    with pytest.raises(DomainError, match="^bad relation 'geq:x'$"):
+        parse_relation("geq:x")
 
 
 def test_orbit_cap():
@@ -113,6 +116,8 @@ def test_segment_decomposition_examples():
     assert segment_decomposition((2, 1, 4, 3)).segments == ((1, 2, 3, 4),)
     # length-two runs are normalized to increasing order
     assert segment_decomposition((2, 1)).segments == ((1, 2),)
+    with pytest.raises(DomainError, match="needs distinct letters"):
+        segment_decomposition((1, 1))
 
 
 def test_segments_are_maximal_against_bfs():
@@ -225,6 +230,8 @@ def test_count_classes_brute():
     assert count_classes_brute(7) == 1824
     with pytest.raises(GuardExceeded):
         count_classes_brute(9)
+    with pytest.raises(DomainError, match="^n must be >= 0$"):
+        count_classes_brute(-1)
     assert count_classes_brute(8) == f_inclusion_exclusion(8)
 
 

@@ -96,7 +96,7 @@ def test_multiset(capsys):
 
 def test_multiset_count_only_refuses_limit(capsys):
     refusal = ("error: --limit does not apply to --count-only (the count "
-               "has a fixed size cap of 24)\n")
+               "is guarded by its exponent box, at most 10000 entries)\n")
     # a limit above the cap, below the answer, and equal to --limit's default
     for spec, limit in (("1:13,2:12", "30"), ("1:3,2:2", "3"),
                         ("1:3,2:2", "10")):
@@ -185,6 +185,14 @@ def test_poset_beta_json_and_file(capsys, tmp_path):
     assert code == 0
     rows = json.loads(out)
     assert {"S": [1], "alpha": 2, "beta": 1} in rows
+    # a fractional rank is refused, not truncated to a valid poset
+    path.write_text('{"elements": ["a", "b", "c"], "ranks": '
+                    '{"a": 0, "b": 1.9, "c": 2}, '
+                    '"covers": [["a", "b"], ["b", "c"]]}', encoding="utf-8")
+    code, out, err = run(capsys, "poset", "beta", "--file", str(path))
+    assert (code, out, err) == (1, "", "error: bad rank 1.9\n")
+    code, out, err = run(capsys, "poset", "beta")
+    assert (code, out, err) == (1, "", "error: need --gamma or --file\n")
 
 
 def test_poset_beta_dot(capsys):
@@ -274,7 +282,7 @@ ORBIT_21 = ("1234567 1234576 1234657 1235467 1235476 1243567 1243576 1243657 "
      f"orbit of {tuple(range(1, 41))} exceeds 10000000 members"),
     ("singletons --n 10", 2, "n = 10 exceeds brute-force limit 9"),
     ("multiset --spec 1:11", 2, "multiset size 11 exceeds limit 10"),
-    ("cf --n 1 --caps 25", 2, "total cap 25 exceeds limit 24"),
+    ("cf --n 1 --caps 25", 0, "".join(f"{k} 1\n" for k in range(26))),
     ("umbral --k 1 --upto 101", 2, "order 101 exceeds limit 100"),
     ("poset extensions --qn 21", 2,
      "extension counting limited to 20 elements"),
@@ -285,8 +293,9 @@ ORBIT_21 = ("1234567 1234576 1234657 1235467 1235476 1243567 1243576 1243657 "
     ("class --word 1234567 --limit 21", 0, ORBIT_21),
     ("singletons --n 6 --limit 5", 2, "n = 6 exceeds brute-force limit 5"),
     ("multiset --spec 1:11 --limit 11", 0, "11111111111 size=1: 11111111111\n"),
-    ("cf --n 1 --caps 25 --limit 25", 0,
-     "".join(f"{k} 1\n" for k in range(26))),
+    # cf has no --limit: its one guard is the exponent box
+    ("cf --n 1 --caps 25 --limit 25", 1,
+     "unrecognized arguments: --limit 25"),
     ("umbral --k 1 --upto 5 --limit 4", 2, "order 5 exceeds limit 4"),
     ("umbral --k 1 --upto 5 --limit 5", 0, "1 1 1 2 8 42\n"),
     ("poset extensions --qn 21 --limit 21", 0, "17711\n"),
@@ -294,7 +303,10 @@ ORBIT_21 = ("1234567 1234576 1234657 1235467 1235476 1243567 1243576 1243657 "
 def test_each_limit(capsys, argv, code, expected):
     got, out, err = run(capsys, *argv.split())
     assert got == code
-    if code:
+    if code == 1:
+        # a usage error prints the usage before the message
+        assert out == "" and err.endswith(f"\nerror: {expected}\n")
+    elif code:
         assert (out, err) == ("", f"error: {expected}\n")
     else:
         assert (out, err) == (expected, "")

@@ -69,6 +69,8 @@ def test_rank_two_family():
 def test_mf_counts_small():
     assert mf_counts_by_rank(5) == [1, 2, 6, 21, 78]
     assert mf_counts_by_elements(8) == [1, 1, 2, 3, 7, 12, 28]
+    with pytest.raises(GuardExceeded, match="^element bound 17 exceeds 16$"):
+        mf_counts_by_elements(17)
     for poset in generate_mf_posets("rank", 5):
         assert poset.is_multiplicity_free()
         assert poset.has_at_most_two_per_rank()

@@ -107,17 +107,22 @@ def _ideal_layers(q):
     return layers
 
 
+def _graded_layers(poset):
+    # the elements of a graded poset by rank as down-closed masks, as
+    # flag_alpha_vector hands them to the chain counter
+    below = poset.below_masks()
+    return [[below[e] | 1 << e for e in layer] for layer in poset.layers()]
+
+
 def test_moebius_inversion_round_trip():
     # both ways to beta, forced on every input: the Moebius mode of
-    # chain_counts and the butterfly; flag_h_vector picks one of them
+    # chain_counts and the butterfly; flag_vectors picks one of them
     posets = [GradedPoset.boolean_lattice(3), lattice_from_gamma("0101"),
               q_from_commuting_word(5).ideals_lattice()]
     posets += [lattice_from_gamma(g)
                for rank in range(1, 12) for g in gamma_words(rank)]
     posets += all_bounded_graded_posets(4, 9)
-    for poset in posets:
-        poset.flag_alpha_vector()  # builds the layer masks
-    cases = [(p, p._layer_masks) for p in posets]
+    cases = [(p, _graded_layers(p)) for p in posets]
     naturals = [q for n in range(7) for q in all_natural_posets(n)]
     cases += [(q, _ideal_layers(q)) for q in naturals]
     assert len(cases) == 3 + 513 + 369 + 5232
@@ -126,7 +131,7 @@ def test_moebius_inversion_round_trip():
         nbits = max(len(layers) - 2, 0)
         beta = _pykernels.moebius_vector(alpha, nbits)
         assert _pykernels.chain_counts(layers, moebius=True) == beta
-        assert _pykernels.flag_h_vector(layers, alpha) == beta
+        assert _pykernels.flag_vectors(layers) == (alpha, beta)
         assert _kernels.zeta_vector(beta, nbits) == alpha
         if isinstance(poset, GradedPoset):
             assert (poset.flag_alpha_vector(), poset.flag_beta_vector()) == (
@@ -242,11 +247,17 @@ def test_ideals_lattice_examples():
     # 2^18 ideals, past posets.IDEAL_CAP
     with pytest.raises(GuardExceeded, match="^more than 200000 order ideals$"):
         NaturalPoset.antichain(18).ideals_lattice()
+    # 26 ideals, but 25 elements are past the size guard
+    with pytest.raises(GuardExceeded, match="^ideal lattice limited to "
+                       "posets with 24 elements$"):
+        NaturalPoset.chain(25).ideals_lattice()
 
 
 def test_natural_poset_validation():
     with pytest.raises(DomainError):
         NaturalPoset(2, (0b10, 0))
+    with pytest.raises(DomainError, match="one down-set mask per element"):
+        NaturalPoset(2, (0,))
     # 3 above 2 above 1, but 1 missing from 3's down-set
     with pytest.raises(DomainError, match="transitively closed"):
         NaturalPoset(3, (0, 0b1, 0b10))
@@ -297,6 +308,9 @@ def test_extension_count_examples():
             assert q.extension_count() == len(q.linear_extensions())
     with pytest.raises(GuardExceeded):
         NaturalPoset.antichain(21).extension_count()
+    with pytest.raises(GuardExceeded,
+                       match="^descent tabulation limited to 14 elements$"):
+        NaturalPoset.chain(15).descent_vector()
 
 
 def test_jq_flags_match_generic_lattice_flags():
@@ -318,6 +332,10 @@ def test_gamma_validation():
     assert gamma_words(2) == ["0"]
     assert gamma_words(3) == ["01"]
     assert [len(gamma_words(n)) for n in range(3, 9)] == [1, 2, 4, 8, 16, 32]
+    with pytest.raises(DomainError, match="^rank must be >= 1$"):
+        gamma_words(0)
+    with pytest.raises(DomainError, match="^n must be >= 0$"):
+        q_from_commuting_word(-1)
 
 
 def test_lattice_from_gamma_examples():
@@ -556,6 +574,9 @@ def test_isomorphism_examples():
     assert not are_isomorphic(a, NaturalPoset.chain(3))
     with pytest.raises(GuardExceeded):
         NaturalPoset.antichain(25).canonical_key()
+    with pytest.raises(GuardExceeded,
+                       match="^canonical form limited to 24 elements$"):
+        GradedPoset.chain(25).canonical_key()
     # twin-heavy inputs: an antichain has ISO_SIZE! orderings, all one key
     assert NaturalPoset.antichain(ISO_SIZE).canonical_key() == (
         ISO_SIZE, (0,) * ISO_SIZE, (0,) * ISO_SIZE)
@@ -830,6 +851,17 @@ def test_poset_json_round_trip():
         assert again == poset
     with pytest.raises(DomainError):
         GradedPoset.from_json("{}")
+    # ranks are taken as given: a JSON rank that is not an integer, or is a
+    # bool, is refused rather than coerced
+    for middle in ("1.9", '"1"', "true", "1.0"):
+        text = ('{"elements": ["a", "b", "c"], '
+                f'"ranks": {{"a": 0, "b": {middle}, "c": 2}}, '
+                '"covers": [["a", "b"], ["b", "c"]]}')
+        with pytest.raises(DomainError, match="bad rank"):
+            GradedPoset.from_json(text)
+    assert GradedPoset.from_json(text.replace("1.0", "1")).ranks == (0, 1, 2)
+    with pytest.raises(DomainError, match="bad rank"):
+        GradedPoset((0, True), [(0, 1)])
 
 
 def test_poset_dot_output():

@@ -89,6 +89,9 @@ def test_series_validation():
         TruncatedSeries(("x",), (3,), {(1,): 1}).inverse()
     with pytest.raises(DomainError):
         a * TruncatedSeries(("y",), (2,), {})
+    for exps in ((1,), (1, 1, 5), (-1, 0)):
+        with pytest.raises(DomainError, match="bad exponent vector"):
+            cf_series(2, (2, 2)).coefficient(exps)
 
 
 def test_series_total_cap():
@@ -104,10 +107,17 @@ def test_cf_series_examples():
     assert cf_series(5, (1,) * 5).coefficient((1,) * 5) == 42
     ray = cf_series(1, (6,))
     assert all(ray.coefficient((r,)) == 1 for r in range(7))
-    with pytest.raises(GuardExceeded):
-        cf_series(5, (5, 5, 5, 5, 5))
+    # 6^5 = 7,776 exponents fit the box whatever their total degree...
+    five = cf_series(5, (5,) * 5)
+    assert five.coefficient((5,) * 5) == g_umbral_series(5, 5)[5]
+    assert five.coefficient((5, 0, 5, 0, 0)) == math.comb(10, 5)
+    # ...and 6^6 = 46,656 do not
+    with pytest.raises(GuardExceeded, match="exponent box of at least"):
+        cf_series(6, (5,) * 6)
     with pytest.raises(DomainError):
         cf_series(3, (1, 1))
+    with pytest.raises(DomainError, match="^n must be >= 1$"):
+        cf_series(0, ())
 
 
 def test_cf_full_monomial_counts_classes():
@@ -121,12 +131,17 @@ def test_multiset_count_cf_examples():
     assert multiset_count_cf(MultisetSpec.parse("1:7")) == 1
     assert multiset_count_cf(MultisetSpec.parse("1:2,2:2,3:2")) == 6
     assert multiset_count_cf(MultisetSpec.parse("")) == 1
-    with pytest.raises(GuardExceeded):
-        multiset_count_cf(MultisetSpec.parse("1:13,2:13"))
+    # 26 letters: 1 and 2 commute, so one class...
+    assert multiset_count_cf(MultisetSpec.parse("1:13,2:13")) == 1
+    # ...but 1 and 3 never do, so every arrangement is its own class
+    assert multiset_count_cf(MultisetSpec.parse("1:13,3:13")) == math.comb(
+        26, 13) == 10_400_600
+    # a letter far from 1 is one variable, not a million
+    assert multiset_count_cf(MultisetSpec.from_mapping({10**6: 1})) == 1
 
 
 def test_cf_series_box_guard():
-    # 24 distinct letters pass the total cap but ask for a 2^24-entry box
+    # 24 distinct letters ask for a 2^24-entry box
     distinct = MultisetSpec.from_mapping({v: 1 for v in range(1, 25)})
     with pytest.raises(GuardExceeded, match="exponent box of at least"):
         multiset_count_cf(distinct)
@@ -146,16 +161,27 @@ def test_multiset_count_cf_matches_bfs():
             {v + 1: r for v, r in enumerate(counts)})
         assert multiset_count_cf(spec) == len(
             multiset_class_partition(spec)), spec
+    # gaps of any width, far from 1
+    rng = random.Random(17)
+    for _ in range(60):
+        values = sorted(rng.sample(range(1, 40), rng.randint(1, 4)))
+        offset = rng.choice((0, 10**6))
+        spec = MultisetSpec.from_mapping(
+            {v + offset: rng.randint(1, 2) for v in values})
+        assert multiset_count_cf(spec) == len(
+            multiset_class_partition(spec)), spec
 
 
 def test_f4_coefficient_examples():
     assert f4_coefficient(1, 1, 1, 1) == 8
     assert f4_coefficient(0, 0, 0, 0) == 1
     assert f4_coefficient(2, 1, 0, 2) == 18
+    with pytest.raises(DomainError, match="^exponents must be >= 0$"):
+        f4_coefficient(-1, 0, 0, 0)
 
 
 def test_f4_matches_series_small():
-    full = cf_series(4, (5, 5, 5, 5), max_total=24, total_cap=5)
+    full = cf_series(4, (5, 5, 5, 5), total_cap=5)
     for exps in itertools.product(range(6), repeat=4):
         if sum(exps) <= 5:
             assert f4_coefficient(*exps) == full.coefficient(exps)
@@ -163,7 +189,7 @@ def test_f4_matches_series_small():
 
 def test_f4_gapped_support():
     # dropping the last variable recovers the three-letter series...
-    three = cf_series(3, (4, 4, 4), max_total=24, total_cap=4)
+    three = cf_series(3, (4, 4, 4), total_cap=4)
     for exps in itertools.product(range(5), repeat=3):
         if sum(exps) <= 4:
             assert f4_coefficient(*exps, 0) == three.coefficient(exps)
@@ -178,7 +204,7 @@ def test_f4_t_examples():
     assert f4_t_coefficient(1, 0, 0, 0, 0) == 0
     assert f4_t_coefficient(0, 0, 0, 0, 0) == 1
     assert f4_t_coefficient(1, 0, 0, 0, 2) == 2
-    base = cf_series(4, (3, 3, 3, 3), max_total=24, total_cap=3)
+    base = cf_series(4, (3, 3, 3, 3), total_cap=3)
     powered = TruncatedSeries.constant(1, base.variables, base.caps,
                                        total_cap=base.total_cap)
     for t in range(3):
@@ -224,6 +250,8 @@ def test_c_poly_reference_values():
     assert c_poly(4, 2) == {5: -1}
     assert c_poly(1, 1) == {1: 1}
     assert c_poly(2, 1) == {1: -1}
+    with pytest.raises(DomainError, match="^m and k must be >= 1$"):
+        c_poly(0, 1)
     assert c_poly(3, 1) == {}
     with pytest.raises(GuardExceeded):
         c_poly(300, 1)
@@ -242,6 +270,8 @@ def test_g_umbral_series():
     assert g_umbral_series(2, 0) == [1]
     with pytest.raises(GuardExceeded):
         g_umbral_series(1, 300)
+    with pytest.raises(DomainError, match="^k must be >= 1$"):
+        g_umbral_series(0, 1)
 
 
 def test_g_umbral_series_guard_builds_no_block(monkeypatch):
@@ -280,6 +310,8 @@ def test_expand_rational_univariate():
         0, 1, 2, 6, 21, 78, 297, 1143, 4419]
     with pytest.raises(DomainError):
         expand_rational([1], [0, 1], 3)
+    with pytest.raises(DomainError, match="^order must be >= 0$"):
+        expand_rational([1], [1], -1)
     # rational coefficients stay exact
     assert expand_rational([1], [2, 1], 2) == [
         Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8)]

@@ -85,6 +85,8 @@ def test_sparse_subsets():
     assert sparse_subsets(3) == [frozenset(), {1}, {2}]
     assert sparse_subsets(1) == [frozenset()]
     assert len(sparse_subsets(5)) == 8
+    with pytest.raises(DomainError, match="^n must be >= 0$"):
+        sparse_subsets(-1)
     for s in sparse_subsets(8):
         assert words.is_sparse(s)
 
@@ -100,6 +102,8 @@ def test_sparse_counts_follow_fibonacci():
 def test_fibonacci_convention():
     assert fibonacci(1) == fibonacci(2) == 1
     assert [fibonacci(k) for k in range(3, 10)] == [2, 3, 5, 8, 13, 21, 34]
+    with pytest.raises(DomainError, match="^n must be >= 0$"):
+        fibonacci(-1)
 
 
 def test_word_serialization_round_trip():
@@ -132,8 +136,14 @@ def test_multiset_spec():
     assert not spec.is_word_of((1, 2, 3))
     with pytest.raises(DomainError):
         MultisetSpec.parse("1:x")
+    for counts, message in ((((0, 1),), "values must be >= 1"),
+                            (((1, 0),), "counts must be >= 1"),
+                            (((1, 1), (1, 2)), "duplicate value 1"),
+                            (((2, 1), (1, 1)), "sorted by value")):
+        with pytest.raises(DomainError, match=message):
+            MultisetSpec(counts)
     gapped = MultisetSpec.parse("1:2,4:1")
-    assert gapped.caps_vector() == (2, 0, 0, 1)
+    assert gapped.caps_vector() == (2, 0, 1)
 
 
 @settings(max_examples=60, deadline=None, database=None)
