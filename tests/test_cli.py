@@ -97,7 +97,7 @@ def test_multiset(capsys):
 def test_multiset_count_only_refuses_limit(capsys):
     refusal = ("error: --limit does not apply to --count-only (the count "
                "is guarded by its exponent box, at most 10000 entries)\n")
-    # a limit above the cap, below the answer, and equal to --limit's default
+    # a limit above the spec's size, below it, and equal to --limit's default
     for spec, limit in (("1:13,2:12", "30"), ("1:3,2:2", "3"),
                         ("1:3,2:2", "10")):
         code, out, err = run(capsys, "multiset", "--spec", spec,
