@@ -17,12 +17,16 @@ ideal, and the last two elements are placed inline. It lists its free
 elements from down itself, so it shares nothing with order_ideals and the
 flag kernels it is checked against.
 
-The flag kernels keep their inner loops out of the interpreter.
-chain_counts builds each element's chain counts rank block by rank block,
-summing whole lists of lower elements with map and zip. zeta_vector and
-moebius_vector are one butterfly over list slices (Yates' method, the fast
-zeta/Moebius transform of Bjorklund, Husfeldt, Kaski and Koivisto),
-differing only in the operator.
+The flag kernels keep their inner loops out of the interpreter by packing
+each vector into one int of fixed-width fields, entry S in field S
+(Kronecker substitution). chain_counts adds a lower element's whole vector
+with one big-int addition and decodes only its final vector.
+zeta_vector and moebius_vector are one butterfly (Yates' method, the fast
+zeta/Moebius transform of Bjorklund, Husfeldt, Kaski and Koivisto) in which
+every level is a few big-int operations that add or subtract the packed
+vector field by field, differing only in that operation. The field width
+comes from a bound on the final entries computed up front, so nothing
+truncates or wraps, and the vectors returned are plain lists.
 
 Every flag vector pair (alpha, beta) of the pure path comes from
 flag_vectors, beta after alpha. For beta it chooses from the layer sizes
@@ -45,8 +49,9 @@ Conventions shared by both backends:
 """
 from __future__ import annotations
 
-import itertools
-import operator
+import math
+import sys
+from array import array
 
 from salient.errors import GuardExceeded
 
@@ -138,41 +143,61 @@ def chain_counts(layers, moebius: bool = False) -> list[int]:
     result is f of a virtual top above every element, so ranks 0 and n
     never enter a chain.
 
+    Packed vectors: a vector v is held as the one int sum_S v[S] * 2^(W*S),
+    W = 8 * _field_bytes(bound) bits per entry. That map is a ring
+    homomorphism, so sums, differences and shifts of packed vectors are
+    exact whatever the size of their entries, and only the final vector
+    needs fields wide enough to be read back. So f(y) is 1 plus the sum of
+    f(x) * 2^(W * 2^(s-1)) over every x < y, with s the rank of x: each
+    element keeps its vector pre-shifted to its block, and y sums the
+    lower elements in one call. A chain takes at most one element per rank,
+    so no entry exceeds the product of the interior layer sizes.
+
     Moebius mode builds the flag h-vector b(y) of each element the same
     way. In the alternating sum b(y)[S] over the subsets T of a rank set S
     with largest rank s, the T holding s give the sum of b(x)[S - {s}] over
     the x < y of rank s, and the others give -b(y)[S - {s}]. So block s of
-    b(y) is the sum of b(x) over the x < y of rank s minus b(y)[:2^(s-1)],
-    the prefix built so far. flag_vectors takes this mode instead of the
-    butterfly of moebius_vector where moebius_by_recursion finds it no
-    dearer.
+    b(y) is the sum of b(x) over the x < y of rank s minus the prefix b(y)
+    built so far, rank block by rank block. |b[S]| is at most the sum of
+    the f-vector entries of the subsets of S, and so at most the product of
+    (1 + size) over the interior layers. flag_vectors takes this mode
+    instead of the butterfly of moebius_vector where moebius_by_recursion
+    finds it no dearer.
     """
     n = len(layers) - 1
     if n <= 0:
         return [1]
-    # done[s - 1] pairs each element of rank s with its vector f (or b)
-    done: list[list[tuple[int, list[int]]]] = []
-    for r in range(1, n + 1):
-        # at r = n, the virtual top: mask -1 holds every mask
-        rows = []
-        for y in (layers[r] if r < n else [-1]):
-            vec = [1]
-            for s, lower in enumerate(done, 1):
-                block = [fx for x, fx in lower if not x & ~y]
-                if len(block) == 1:
-                    total = block[0]
-                elif len(block) == 2:
-                    total = map(operator.add, *block)
-                elif block:
-                    total = map(sum, zip(*block))
-                else:
-                    total = itertools.repeat(0, 1 << (s - 1))
-                # total has exactly len(vec) entries, and map stops when it
-                # runs out, so it never reads the entries it appends
-                vec += map(operator.sub, total, vec) if moebius else total
-            rows.append((y, vec))
-        done.append(rows)
-    return done[-1][0][1]
+    sizes = [len(layer) for layer in layers[1:n]]
+    w = _field_bytes(math.prod([size + 1 for size in sizes] if moebius
+                               else sizes))
+    width = 8 * w
+    if moebius:
+        # done[s - 1] pairs each element of rank s with its packed b
+        done: list[list[tuple[int, int]]] = []
+        for r in range(1, n + 1):
+            # at r = n, the virtual top: mask -1 holds every mask
+            rows = []
+            for y in (layers[r] if r < n else [-1]):
+                vec = 1
+                for s, below in enumerate(done):
+                    total = sum([bx for x, bx in below if not x & ~y])
+                    vec += (total - vec) << (width << s)
+                rows.append((y, vec))
+            done.append(rows)
+        top = done[-1][0][1]
+    else:
+        # each element of rank 1..r-1 with its packed f shifted to its block
+        lower: list[tuple[int, int]] = []
+        for r in range(1, n):
+            lower += [(y, (1 + sum([fx for x, fx in lower if not x & ~y]))
+                       << (width << (r - 1))) for y in layers[r]]
+        top = 1 + sum([fx for _, fx in lower])
+    count = 1 << (n - 1)
+    # adding 2^(W-1) to every field makes each non-negative, so none
+    # borrows from the next; flipping that bit back leaves each field in
+    # two's complement
+    high = _high_bits(count, w)
+    return _unpack((top + high) ^ high, count, w)
 
 
 def moebius_by_recursion(sizes) -> bool:
@@ -221,61 +246,109 @@ def natural_flag_vectors(n: int, down) -> tuple[list[int], list[int]]:
     return flag_vectors(layers)
 
 
-# Entries per slice in _butterfly: slices of at most this many entries keep
-# each level's temporaries small whatever the vector length.
-_TILE = 1 << 12
+# array typecodes of the signed fields _pack and _unpack convert in one call,
+# by their width in bytes
+_SIGNED = {array(code).itemsize: code for code in "hiq"}
+
+
+def _field_bytes(bound: int) -> int:
+    """Bytes per packed field for entries of magnitude at most bound: the
+    fewest w with bound < 2^(8w-1), taken as 2, 4 or 8 up to 8."""
+    w = (bound.bit_length() + 8) >> 3
+    return w if w > 8 else 8 if w > 4 else 4 if w > 2 else 2
+
+
+def _high_bits(count: int, w: int) -> int:
+    """The top bit of each of count fields of w bytes."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * count, "little")
+
+
+def _pack(vec, w: int) -> int:
+    """vec as fields of w bytes, entry i in field i, each in two's
+    complement."""
+    code = _SIGNED.get(w)
+    if code is None:
+        data = b"".join(v.to_bytes(w, "little", signed=True) for v in vec)
+    else:
+        fields = array(code, vec)
+        if sys.byteorder == "big":
+            fields.byteswap()
+        data = fields.tobytes()
+    return int.from_bytes(data, "little")
+
+
+def _unpack(packed: int, count: int, w: int) -> list[int]:
+    """The count fields of w bytes of packed, low field first, each read as
+    a two's complement int: the inverse of _pack."""
+    data = packed.to_bytes(count * w, "little")
+    code = _SIGNED.get(w)
+    if code is None:
+        return [int.from_bytes(data[i:i + w], "little", signed=True)
+                for i in range(0, len(data), w)]
+    fields = array(code)
+    fields.frombytes(data)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields.tolist()
+
+
+def _swar_add(x: int, y: int, low: int, high: int) -> int:
+    """Field-wise x + y mod 2^W: the low bits add without carrying out of
+    their field, and the top bit of each field is their parity."""
+    return ((x & low) + (y & low)) ^ ((x ^ y) & high)
+
+
+def _swar_sub(x: int, y: int, low: int, high: int) -> int:
+    """Field-wise x - y mod 2^W: each field's top bit is set before the low
+    bits are subtracted, so no borrow leaves the field, and then corrected
+    to the parity of the top bits and the borrow."""
+    return ((x | high) - (y & low)) ^ ((x ^ y ^ high) & high)
 
 
 def _butterfly(vec, nbits: int, op) -> list[int]:
     """Apply out[S] = op(out[S], out[S - {b}]) for every S holding bit b,
-    bit by bit for b < nbits: the subset-sum (op = add) or Moebius (op =
-    sub) transform of a vector of 2**nbits entries.
+    bit by bit for b < nbits: the subset-sum (op = _swar_add) or Moebius
+    (op = _swar_sub) transform of a vector of 2**nbits entries.
 
-    Bits below the tile width are done tile by tile, through strided slices
-    while the stride is short and through contiguous half-blocks once the
-    half-blocks are long. Higher bits pair whole tiles. Every level runs as
-    map(op, ...) over slices of at most _TILE entries.
+    The vector is packed into one int of 2**nbits fields of w bytes, each
+    entry in two's complement (SWAR: SIMD within a register). Every level
+    is a few big-int operations over the whole vector: the fields without
+    bit b are masked out and shifted up by 2^b fields onto their partners,
+    and op combines the two field by field, exactly mod 2^(8w). Each
+    output is a signed sum of distinct inputs, so w is the fewest bytes
+    with sum|v| < 2^(8w-1), and every output reads back exactly.
     """
     size = 1 << nbits
     if len(vec) != size:
         raise ValueError("vector length must be 2**nbits")
-    out = list(vec)
-    tile = min(size, _TILE)
-    low = tile.bit_length() - 1
-    for t in range(0, size, tile):
-        end = t + tile
-        for b in range(low):
-            h = 1 << b
-            step = h << 1
-            if h * step <= tile:
-                for j in range(t, t + h):
-                    out[j + h:end:step] = map(
-                        op, out[j + h:end:step], out[j:end:step])
-            else:
-                for i in range(t, end, step):
-                    out[i + h:i + step] = map(
-                        op, out[i + h:i + step], out[i:i + h])
-    for b in range(low, nbits):
-        h = 1 << b
-        for i in range(0, size, h << 1):
-            for c in range(i, i + h, tile):
-                out[c + h:c + h + tile] = map(
-                    op, out[c + h:c + h + tile], out[c:c + tile])
-    return out
+    w = _field_bytes(sum(map(abs, vec)))
+    out = _pack(vec, w)
+    high = _high_bits(size, w)
+    low = ((1 << (8 * w * size)) - 1) ^ high
+    # the fields whose index has bit b clear, from the top bit down: the
+    # mask for bit b + 1 XOR itself shifted up by 2^b fields
+    lower = (1 << (8 * w * size >> 1)) - 1
+    for b in reversed(range(nbits)):
+        shift = 8 * w << b
+        if b < nbits - 1:
+            lower ^= lower << shift
+        out = op(out, (out & lower) << shift, low, high)
+    return _unpack(out, size, w)
 
 
 def zeta_vector(vec, nbits: int) -> list[int]:
     """Subset-sum transform: out[S] = sum of vec[T] over T subset of S.
 
-    The butterfly with op = add: after the pass over bit b, each entry holds
-    the sum over the subsets that differ from it in bits <= b only. Inverse
-    of moebius_vector; takes a flag h-vector beta back to alpha.
+    The butterfly with op = _swar_add: after the passes over a set of bits,
+    each entry holds the sum over the subsets that differ from it in those
+    bits only. Inverse of moebius_vector; takes a flag h-vector beta back to
+    alpha.
     """
-    return _butterfly(vec, nbits, operator.add)
+    return _butterfly(vec, nbits, _swar_add)
 
 
 def moebius_vector(vec, nbits: int) -> list[int]:
     """Moebius transform: out[S] = sum of (-1)^|S - T| vec[T] over T subset
-    of S. The butterfly with op = sub; takes a flag f-vector alpha to the
+    of S. The butterfly with op = _swar_sub; takes a flag f-vector alpha to the
     flag h-vector beta. Inverse of zeta_vector."""
-    return _butterfly(vec, nbits, operator.sub)
+    return _butterfly(vec, nbits, _swar_sub)

@@ -59,9 +59,12 @@ def _check_chain_table(sizes, max_rank: int) -> None:
     would keep more than 2^(max_rank+1) entries. _pykernels.chain_counts
     keeps 2^(r-1) of them for each element of rank r >= 1
     (_pykernels.layer_entries), so a poset with at most two elements per
-    rank and rank <= max_rank always fits. A flag h-vector computed by the
-    Moebius mode of chain_counts keeps as many entries again, but only
-    after the f-vector pass has returned and freed its table."""
+    rank and rank <= max_rank always fits. An entry is a field of w bytes
+    in a packed int, w = 2, 4 or 8 while the counts stay below 2^63, and
+    the f-vector pass keeps each vector shifted to its rank block, which
+    doubles its length. A flag h-vector computed by the Moebius mode of
+    chain_counts keeps as many entries again, but only after the f-vector
+    pass has returned and freed its table."""
     entries = sum(_pykernels.layer_entries(sizes))
     if entries > 1 << (max_rank + 1):
         raise GuardExceeded(

@@ -281,10 +281,6 @@ class MultisetSpec:
     def total(self) -> int:
         return sum(r for _, r in self.counts)
 
-    @property
-    def max_value(self) -> int:
-        return self.counts[-1][0] if self.counts else 0
-
     def multiplicity(self, v: int) -> int:
         return dict(self.counts).get(v, 0)
 
@@ -297,9 +293,6 @@ class MultisetSpec:
                 out.append(0)
             out.append(r)
         return tuple(out)
-
-    def is_word_of(self, word) -> bool:
-        return MultisetSpec.from_word(word) == self
 
     def words(self) -> Iterator[Word]:
         """All distinct arrangements, in lexicographic order: Knuth's

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -98,6 +99,64 @@ def test_flag_alpha_vector_against_brute_force_chains():
         assert poset.flag_alpha_vector() == _brute_force_alpha(poset)
 
 
+# The reference for _pykernels.chain_counts: the list-based chain counter
+# it replaced, which sums the lower elements' vectors entry by entry with
+# map and zip. Both modes must agree with it exactly.
+
+def _ref_chain_counts(layers, moebius: bool = False) -> list[int]:
+    """Flag f-vector of a graded poset of rank n = len(layers) - 1, or with
+    moebius=True its flag h-vector.
+
+    layers[r] lists the rank-r elements as down-closed bitmasks, so x <= y
+    exactly when mask x is a subset of mask y. Entry S of the result counts
+    the chains whose elements have exactly the ranks in S (bit i-1 for rank
+    i, 0 < i < n).
+
+    Rank blocks: each element y of rank r >= 1 gets the vector f(y) of
+    chains strictly below y by rank set, indexed by the subsets of [r-1].
+    It is [1] (the empty chain) followed by one block per rank s < r. Block
+    s fills indices 2^(s-1)..2^s - 1, the rank sets whose largest rank is
+    s, and is the entry-wise sum of f(x) over the x < y of rank s. The
+    result is f of a virtual top above every element, so ranks 0 and n
+    never enter a chain.
+
+    Moebius mode builds the flag h-vector b(y) of each element the same
+    way. In the alternating sum b(y)[S] over the subsets T of a rank set S
+    with largest rank s, the T holding s give the sum of b(x)[S - {s}] over
+    the x < y of rank s, and the others give -b(y)[S - {s}]. So block s of
+    b(y) is the sum of b(x) over the x < y of rank s minus b(y)[:2^(s-1)],
+    the prefix built so far. flag_vectors takes this mode instead of the
+    butterfly of moebius_vector where moebius_by_recursion finds it no
+    dearer.
+    """
+    n = len(layers) - 1
+    if n <= 0:
+        return [1]
+    # done[s - 1] pairs each element of rank s with its vector f (or b)
+    done: list[list[tuple[int, list[int]]]] = []
+    for r in range(1, n + 1):
+        # at r = n, the virtual top: mask -1 holds every mask
+        rows = []
+        for y in (layers[r] if r < n else [-1]):
+            vec = [1]
+            for s, lower in enumerate(done, 1):
+                block = [fx for x, fx in lower if not x & ~y]
+                if len(block) == 1:
+                    total = block[0]
+                elif len(block) == 2:
+                    total = map(operator.add, *block)
+                elif block:
+                    total = map(sum, zip(*block))
+                else:
+                    total = itertools.repeat(0, 1 << (s - 1))
+                # total has exactly len(vec) entries, and map stops when it
+                # runs out, so it never reads the entries it appends
+                vec += map(operator.sub, total, vec) if moebius else total
+            rows.append((y, vec))
+        done.append(rows)
+    return done[-1][0][1]
+
+
 def _ideal_layers(q):
     # the order ideals of a natural poset by size, as natural_flag_vectors
     # hands them to the chain counter
@@ -116,7 +175,8 @@ def _graded_layers(poset):
 
 def test_moebius_inversion_round_trip():
     # both ways to beta, forced on every input: the Moebius mode of
-    # chain_counts and the butterfly; flag_vectors picks one of them
+    # chain_counts and the butterfly; flag_vectors picks one of them. The
+    # packed chain counts must equal the list-based reference in both modes
     posets = [GradedPoset.boolean_lattice(3), lattice_from_gamma("0101"),
               q_from_commuting_word(5).ideals_lattice()]
     posets += [lattice_from_gamma(g)
@@ -127,10 +187,12 @@ def test_moebius_inversion_round_trip():
     cases += [(q, _ideal_layers(q)) for q in naturals]
     assert len(cases) == 3 + 513 + 369 + 5232
     for poset, layers in cases:
-        alpha = _pykernels.chain_counts(layers)
-        nbits = max(len(layers) - 2, 0)
-        beta = _pykernels.moebius_vector(alpha, nbits)
+        alpha = _ref_chain_counts(layers)
+        beta = _ref_chain_counts(layers, moebius=True)
+        assert _pykernels.chain_counts(layers) == alpha
         assert _pykernels.chain_counts(layers, moebius=True) == beta
+        nbits = max(len(layers) - 2, 0)
+        assert _pykernels.moebius_vector(alpha, nbits) == beta
         assert _pykernels.flag_vectors(layers) == (alpha, beta)
         assert _kernels.zeta_vector(beta, nbits) == alpha
         if isinstance(poset, GradedPoset):

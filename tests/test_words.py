@@ -128,12 +128,12 @@ def test_permutation_check():
 def test_multiset_spec():
     spec = MultisetSpec.parse("1:2,2:1,3:2")
     assert spec.total == 5
-    assert spec.max_value == 3
+    assert spec.counts[-1][0] == 3
     assert spec.caps_vector() == (2, 1, 2)
     assert spec.multiplicity(2) == 1 and spec.multiplicity(7) == 0
     assert MultisetSpec.parse(spec.format()) == spec
-    assert spec.is_word_of((1, 3, 2, 1, 3))
-    assert not spec.is_word_of((1, 2, 3))
+    assert MultisetSpec.from_word((1, 3, 2, 1, 3)) == spec
+    assert MultisetSpec.from_word((1, 2, 3)) != spec
     with pytest.raises(DomainError):
         MultisetSpec.parse("1:x")
     for counts, message in ((((0, 1),), "values must be >= 1"),
@@ -161,4 +161,4 @@ def test_multiset_words_are_sorted_and_complete():
     assert arrangements == sorted(arrangements)
     assert len(arrangements) == 6
     assert len(set(arrangements)) == 6
-    assert all(spec.is_word_of(w) for w in arrangements)
+    assert all(MultisetSpec.from_word(w) == spec for w in arrangements)
