@@ -185,6 +185,7 @@ def chain_counts(layers, moebius: bool = False) -> list[int]:
                 rows.append((y, vec))
             done.append(rows)
         top = done[-1][0][1]
+        del done, rows
     else:
         # each element of rank 1..r-1 with its packed f shifted to its block
         lower: list[tuple[int, int]] = []
@@ -192,12 +193,14 @@ def chain_counts(layers, moebius: bool = False) -> list[int]:
             lower += [(y, (1 + sum([fx for x, fx in lower if not x & ~y]))
                        << (width << (r - 1))) for y in layers[r]]
         top = 1 + sum([fx for _, fx in lower])
+        del lower
     count = 1 << (n - 1)
     # adding 2^(W-1) to every field makes each non-negative, so none
     # borrows from the next; flipping that bit back leaves each field in
     # two's complement
     high = _high_bits(count, w)
-    return _unpack((top + high) ^ high, count, w)
+    top = (top + high) ^ high
+    return _unpack(top, count, w)
 
 
 def moebius_by_recursion(sizes) -> bool:
@@ -253,7 +256,8 @@ _SIGNED = {array(code).itemsize: code for code in "hiq"}
 
 def _field_bytes(bound: int) -> int:
     """Bytes per packed field for entries of magnitude at most bound: the
-    fewest w with bound < 2^(8w-1), taken as 2, 4 or 8 up to 8."""
+    fewest w with bound < 2^(8w-1), rounded up to 2, 4 or 8 while at most
+    8 so that _pack and _unpack convert the fields through array."""
     w = (bound.bit_length() + 8) >> 3
     return w if w > 8 else 8 if w > 4 else 4 if w > 2 else 2
 
@@ -280,13 +284,13 @@ def _pack(vec, w: int) -> int:
 def _unpack(packed: int, count: int, w: int) -> list[int]:
     """The count fields of w bytes of packed, low field first, each read as
     a two's complement int: the inverse of _pack."""
-    data = packed.to_bytes(count * w, "little")
     code = _SIGNED.get(w)
     if code is None:
+        data = packed.to_bytes(count * w, "little")
         return [int.from_bytes(data[i:i + w], "little", signed=True)
                 for i in range(0, len(data), w)]
     fields = array(code)
-    fields.frombytes(data)
+    fields.frombytes(packed.to_bytes(count * w, "little"))
     if sys.byteorder == "big":
         fields.byteswap()
     return fields.tolist()
