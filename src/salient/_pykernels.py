@@ -185,6 +185,8 @@ def chain_counts(layers, moebius: bool = False) -> list[int]:
                 rows.append((y, vec))
             done.append(rows)
         top = done[-1][0][1]
+        # the tables go before the decoded list is built, which keeps the
+        # peak memory near that of the final vector
         del done, rows
     else:
         # each element of rank 1..r-1 with its packed f shifted to its block
@@ -353,6 +355,6 @@ def zeta_vector(vec, nbits: int) -> list[int]:
 
 def moebius_vector(vec, nbits: int) -> list[int]:
     """Moebius transform: out[S] = sum of (-1)^|S - T| vec[T] over T subset
-    of S. The butterfly with op = _swar_sub; takes a flag f-vector alpha to the
-    flag h-vector beta. Inverse of zeta_vector."""
+    of S. The butterfly with op = _swar_sub; takes a flag f-vector alpha to
+    the flag h-vector beta. Inverse of zeta_vector."""
     return _butterfly(vec, nbits, _swar_sub)
