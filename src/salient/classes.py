@@ -333,18 +333,12 @@ def singleton_series(n: int) -> list[int]:
     return [total.coefficient((i,)) for i in range(n + 1)]
 
 
-def f_j_count(n: int, j: int, method: str = "formula") -> int:
-    """Number of classes of the swap-when-differing-by-at-least-j relation.
-
-    The formula branch returns n! for n <= j and j! * j^(n-j) otherwise; the
-    brute branch counts breadth-first orbits directly.
-    """
+def f_j_count(n: int, j: int) -> int:
+    """Number of classes of the swap-when-differing-by-at-least-j relation:
+    n! for n <= j and j! * j^(n-j) otherwise (class_partition(n, "geq:J")
+    lists them)."""
     if n < 0 or j < 2:
         raise DomainError("need n >= 0 and j >= 2")
-    if method == "formula":
-        if n <= j:
-            return math.factorial(n)
-        return math.factorial(j) * j ** (n - j)
-    if method == "brute":
-        return len(class_partition(n, relation=f"geq:{j}"))
-    raise DomainError(f"unknown method {method!r}")
+    if n <= j:
+        return math.factorial(n)
+    return math.factorial(j) * j ** (n - j)

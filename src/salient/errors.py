@@ -14,9 +14,9 @@ posets.EXTENSION_LIST_SIZE, posets.FLAG_RANK, posets.NATURAL_SWEEP,
 posets.GRADED_SWEEP_RANK and posets.GRADED_SWEEP_SIZE; series.CF_BOX_CAP
 (the exponent box of series.cf_series and so of series.multiset_count_cf)
 and series.PROFILE_CAP; mfenum.MAX_RANK, mfenum.MAX_ELEMENTS and
-mfenum.MAX_FAMILY. classes.count_classes_brute and the brute branch of
-classes.f_j_count keep to classes.DEFAULT_BRUTE_N. Malformed input raises
-DomainError (CLI exit code 1).
+mfenum.MAX_FAMILY. classes.count_classes_brute keeps to
+classes.DEFAULT_BRUTE_N. Malformed input, a negative size or bound included,
+raises DomainError (CLI exit code 1).
 """
 
 

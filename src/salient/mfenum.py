@@ -41,19 +41,12 @@ MAX_ELEMENTS = 16
 MAX_FAMILY = 10
 
 
-def g_blocks(n: int) -> int:
-    """Number of indecomposable n-element blocks: 1, 1, then 2^(n-3)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if n <= 2:
-        return 1
-    return 2 ** (n - 3)
-
-
 def distributive_count_series(order: int) -> list[int]:
     """Counts of the distributive multiplicity-free family by element count:
     the expansion of (1 - 2x) / ((1 - x)(1 - 2x - x^2))."""
-    return expand_rational([1, -2], [1, -3, 1, 1], order)
+    expansion = expand_rational({(0,): 1, (1,): -2},
+                                {(0,): 1, (1,): -3, (2,): 1, (3,): 1}, (order,))
+    return [expansion.coefficient((i,)) for i in range(order + 1)]
 
 
 def distributive_mf_family(n: int) -> list[NaturalPoset]:
@@ -105,15 +98,15 @@ def _level_words(by: str, bound: int, joins=_PAIR_JOINS
     level sizes plus two), each weight listed depth-first: a level weighs 1
     by rank and its size by elements."""
     if by == "rank":
-        if bound > MAX_RANK:
-            raise GuardExceeded(f"rank bound {bound} exceeds {MAX_RANK}")
-        totals, pair = bound, 1
+        name, cap, totals, pair = "rank", MAX_RANK, bound, 1
     elif by == "elements":
-        if bound > MAX_ELEMENTS:
-            raise GuardExceeded(f"element bound {bound} exceeds {MAX_ELEMENTS}")
-        totals, pair = bound - 1, 2
+        name, cap, totals, pair = "element", MAX_ELEMENTS, bound - 1, 2
     else:
         raise DomainError(f"unknown enumeration mode {by!r}")
+    if bound < 0:
+        raise DomainError(f"{name} bound must be >= 0")
+    if bound > cap:
+        raise GuardExceeded(f"{name} bound {bound} exceeds {cap}")
     for total in range(totals):
         stack = [((), None, total)]  # a prefix, its state, the weight left
         while stack:
@@ -167,21 +160,14 @@ def mf_rank_element_table(max_rank_bound: int) -> dict[tuple[int, int], int]:
     return table
 
 
-def u_bivariate(rank_cap: int, size_cap: int,
-                numerator_y_power: int = 2) -> TruncatedSeries:
+def u_bivariate(rank_cap: int, size_cap: int) -> TruncatedSeries:
     """The bivariate rational series counting the family by rank (x) and
-    element count (y).
-
-    The correct numerator factor is (1 - 3 x y^2); numerator_y_power = 3
-    selects the (1 - 3 x y^3) variant, which fails the brute-force
-    cross-check and exists here only so tests can demonstrate that failure.
-    """
+    element count (y), with the numerator factor (1 - 3 x y^2)."""
     def poly(coeffs) -> TruncatedSeries:
         return TruncatedSeries(("x", "y"), (rank_cap, size_cap), coeffs)
 
-    p = numerator_y_power
     num = (poly({(1, 2): 1}) * poly({(0, 0): 1, (1, 2): -1})
-           * poly({(0, 0): 1, (1, p): -3}))
+           * poly({(0, 0): 1, (1, 2): -3}))
     den = poly({(0, 0): 1, (1, 1): -1, (1, 2): -5,
                 (2, 3): 4, (2, 4): 5, (3, 5): -3})
     return num * den.inverse()

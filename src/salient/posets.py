@@ -714,15 +714,7 @@ class NaturalPoset:
     def _comparable(self, i: int, j: int) -> bool:
         return bool(self.down[j] >> i & 1 or self.down[i] >> j & 1)
 
-    # -- combination and isomorphism
-
-    def ordinal_sum(self, other: "NaturalPoset") -> "NaturalPoset":
-        """Every element of self below every element of other; labels of
-        other shift up by self.n (the result is again natural)."""
-        base = (1 << self.n) - 1
-        down = list(self.down)
-        down += [(m << self.n) | base for m in other.down]
-        return NaturalPoset(self.n + other.n, tuple(down))
+    # -- isomorphism
 
     def canonical_key(self) -> tuple:
         if self.n > ISO_SIZE:
@@ -780,21 +772,6 @@ def check_gamma(gamma: str) -> str:
     if len(gamma) >= 2 and gamma[1] != "1":
         raise DomainError("the second gamma bit must be 1")
     return gamma
-
-
-def gamma_words(rank: int) -> list[str]:
-    """All valid gamma words for lattices of the given rank (2^(rank-3) of
-    them for rank >= 3, one for rank 1 and 2)."""
-    if rank < 1:
-        raise DomainError("rank must be >= 1")
-    if rank == 1:
-        return [""]
-    if rank == 2:
-        return ["0"]
-    tails = [""]
-    for _ in range(rank - 3):
-        tails = [t + b for t in tails for b in "01"]
-    return ["01" + t for t in tails]
 
 
 # The covers into a level, by its join and the size of the level below, as

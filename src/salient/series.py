@@ -10,10 +10,10 @@ only be produced by componentwise-bounded factors).
 Series are inverted coefficient by coefficient, by a triangular recurrence
 over the exponents in lexicographic order (see TruncatedSeries.inverse). That
 one inverse serves cf_series, multiset_count_cf, g_umbral_series (1/(1 - F),
-F a series in x and the umbral variable t), expand_rational in one or more
-variables, and so mfenum.u_bivariate. For the commutation series
-1/(1 - sum x_i + sum x_i x_{i+1}), the Cartier-Foata clique series of a trace
-monoid, the recurrence reads
+F a series in x and the umbral variable t), expand_rational, and so
+mfenum.u_bivariate. For the commutation series 1/(1 - sum x_i + sum x_i
+x_{i+1}), the Cartier-Foata clique series of a trace monoid, the recurrence
+reads
 
     c(e) = sum_i c(e - e_i) - sum_i c(e - e_i - e_{i+1}),  c(0) = 1.
 """
@@ -39,29 +39,14 @@ def _norm(value):
     return value
 
 
-def _exponent_box(caps, total_cap=None) -> list[tuple[int, ...]]:
-    """Exponent vectors under the caps, and of total degree at most
-    total_cap when it is given, in lexicographic order."""
-    box = [((), 0)]
+def _check_box(caps) -> None:
+    """Refuse an exponent box (the vectors under the caps) of more than
+    CF_BOX_CAP entries, without building it."""
+    size = 1
     for cap in caps:
-        box = [(prefix + (k,), degree + k)
-               for prefix, degree in box
-               for k in range(cap + 1 if total_cap is None
-                              else min(cap, total_cap - degree) + 1)]
-    return [exps for exps, _ in box]
-
-
-def _check_box(caps, total_cap) -> None:
-    """Refuse an _exponent_box(caps, total_cap) of more than CF_BOX_CAP
-    entries, counted by total degree (ways[d]) without building it."""
-    ways = [1]
-    for cap in caps:
-        cap = min(cap, CF_BOX_CAP)
-        acc = [0, *itertools.accumulate(ways)]
-        ways = [acc[min(d + 1, len(ways))] - acc[max(0, d - cap)]
-                for d in range(min(len(ways) - 1 + cap, total_cap) + 1)]
-        if sum(ways) > CF_BOX_CAP:
-            raise GuardExceeded(f"exponent box of at least {sum(ways)} "
+        size *= min(cap, CF_BOX_CAP) + 1
+        if size > CF_BOX_CAP:
+            raise GuardExceeded(f"exponent box of at least {size} "
                                 f"entries exceeds limit {CF_BOX_CAP}")
 
 
@@ -70,16 +55,11 @@ def _check_box(caps, total_cap) -> None:
 # ---------------------------------------------------------------------------
 
 class TruncatedSeries:
-    """Power series in named variables, truncated by per-variable caps.
+    """Power series in named variables, truncated by per-variable caps."""
 
-    An optional total-degree cap discards monomials of higher total degree
-    on top of the per-variable caps; the exactness guarantee then covers the
-    monomials below both.
-    """
+    __slots__ = ("variables", "caps", "coeffs")
 
-    __slots__ = ("variables", "caps", "total_cap", "coeffs")
-
-    def __init__(self, variables, caps, coeffs=None, total_cap=None):
+    def __init__(self, variables, caps, coeffs=None):
         variables = tuple(variables)
         caps = tuple(caps)
         if len(variables) != len(caps):
@@ -93,41 +73,32 @@ class TruncatedSeries:
                 raise DomainError(f"bad exponent vector {exps!r}")
             if any(e > c for e, c in zip(exps, caps)):
                 continue
-            if total_cap is not None and sum(exps) > total_cap:
-                continue
             value = _norm(value)
             if value:
                 stored[exps] = value
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "caps", caps)
-        object.__setattr__(self, "total_cap", total_cap)
         object.__setattr__(self, "coeffs", stored)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
-    def _trusted(cls, variables, caps, coeffs, total_cap) -> "TruncatedSeries":
+    def _trusted(cls, variables, caps, coeffs) -> "TruncatedSeries":
         """Wrap coefficients that are already normalized, nonzero and inside
         the caps, without __init__'s checks (the arguments are kept as is)."""
         out = object.__new__(cls)
         object.__setattr__(out, "variables", variables)
         object.__setattr__(out, "caps", caps)
-        object.__setattr__(out, "total_cap", total_cap)
         object.__setattr__(out, "coeffs", coeffs)
         return out
 
     # -- constructors
 
     @classmethod
-    def constant(cls, value, variables, caps, total_cap=None) -> "TruncatedSeries":
+    def constant(cls, value, variables, caps) -> "TruncatedSeries":
         zero = (0,) * len(tuple(variables))
-        return cls(variables, caps, {zero: value}, total_cap=total_cap)
-
-    @classmethod
-    def monomial(cls, value, exps, variables, caps,
-                 total_cap=None) -> "TruncatedSeries":
-        return cls(variables, caps, {tuple(exps): value}, total_cap=total_cap)
+        return cls(variables, caps, {zero: value})
 
     # -- views
 
@@ -145,13 +116,11 @@ class TruncatedSeries:
     # -- arithmetic
 
     def _check(self, other: "TruncatedSeries") -> None:
-        if (self.variables != other.variables or self.caps != other.caps
-                or self.total_cap != other.total_cap):
+        if self.variables != other.variables or self.caps != other.caps:
             raise DomainError("series have different variables or caps")
 
     def _lift(self, value) -> "TruncatedSeries":
-        return TruncatedSeries.constant(value, self.variables, self.caps,
-                                        total_cap=self.total_cap)
+        return TruncatedSeries.constant(value, self.variables, self.caps)
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -160,15 +129,13 @@ class TruncatedSeries:
         out = dict(self.coeffs)
         for e, v in other.coeffs.items():
             out[e] = out.get(e, 0) + v
-        return TruncatedSeries(self.variables, self.caps, out,
-                               total_cap=self.total_cap)
+        return TruncatedSeries(self.variables, self.caps, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(
-            self.variables, self.caps,
-            {e: -v for e, v in self.coeffs.items()}, total_cap=self.total_cap)
+        return TruncatedSeries(self.variables, self.caps,
+                               {e: -v for e, v in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, TruncatedSeries)
@@ -182,27 +149,21 @@ class TruncatedSeries:
             return self._scale(other)
         self._check(other)
         caps = self.caps
-        total_cap = self.total_cap
         out: dict[tuple[int, ...], object] = {}
         for e1, v1 in self.coeffs.items():
             for e2, v2 in other.coeffs.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 if any(e > c for e, c in zip(exps, caps)):
                     continue
-                if total_cap is not None and sum(exps) > total_cap:
-                    continue
                 out[exps] = out.get(exps, 0) + v1 * v2
-        return TruncatedSeries(self.variables, caps, out,
-                               total_cap=total_cap)
+        return TruncatedSeries(self.variables, caps, out)
 
     def __rmul__(self, other):
         return self._scale(other)
 
     def _scale(self, value):
-        return TruncatedSeries(
-            self.variables, self.caps,
-            {e: v * value for e, v in self.coeffs.items()},
-            total_cap=self.total_cap)
+        return TruncatedSeries(self.variables, self.caps,
+                               {e: v * value for e, v in self.coeffs.items()})
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse, one coefficient at a time.
@@ -218,7 +179,7 @@ class TruncatedSeries:
             raise DomainError("cannot invert a series with zero constant term")
         support = [(d, v) for d, v in self.coeffs.items() if d != zero]
         inv: dict[tuple[int, ...], object] = {}
-        for e in _exponent_box(self.caps, self.total_cap):
+        for e in itertools.product(*(range(c + 1) for c in self.caps)):
             acc = 1 if e == zero else 0
             for d, v in support:
                 # a key with a negative entry is never in inv
@@ -229,14 +190,12 @@ class TruncatedSeries:
                 acc = _norm(Fraction(acc) / c0)
             if acc:
                 inv[e] = acc
-        return TruncatedSeries._trusted(self.variables, self.caps, inv,
-                                        self.total_cap)
+        return TruncatedSeries._trusted(self.variables, self.caps, inv)
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)
                 and self.variables == other.variables
                 and self.caps == other.caps
-                and self.total_cap == other.total_cap
                 and self.coeffs == other.coeffs)
 
     __hash__ = None
@@ -247,31 +206,16 @@ class TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# rational expansion (univariate and multivariate)
+# rational expansion
 # ---------------------------------------------------------------------------
 
 def expand_rational(numerator, denominator, caps, variables=("x", "y")):
-    """Expand numerator/denominator as a truncated power series.
+    """Expand numerator/denominator as a TruncatedSeries under the caps, one
+    per variable, through TruncatedSeries.inverse.
 
-    Univariate: numerator and denominator are coefficient sequences and caps
-    is the order N; returns the list of coefficients of x^0..x^N. Multivariate:
-    numerator and denominator are dicts mapping exponent vectors to
-    coefficients and caps is a tuple; returns a TruncatedSeries. Both go
-    through TruncatedSeries.inverse.
-
-    The denominator needs a nonzero constant term.
+    Numerator and denominator are dicts mapping exponent vectors to
+    coefficients; the denominator needs a nonzero constant term.
     """
-    if isinstance(caps, int):
-        if caps < 0:
-            raise DomainError("order must be >= 0")
-        denominator = list(denominator)
-        if not denominator or denominator[0] == 0:
-            raise DomainError("denominator needs a nonzero constant term")
-        series = expand_rational(
-            {(i,): v for i, v in enumerate(numerator)},
-            {(i,): v for i, v in enumerate(denominator)},
-            (caps,), variables)
-        return [series.coefficient((i,)) for i in range(caps + 1)]
     variables = tuple(variables)[: len(tuple(caps))]
     den = TruncatedSeries(variables, caps, dict(denominator))
     num = TruncatedSeries(variables, caps, dict(numerator))
@@ -282,22 +226,14 @@ def expand_rational(numerator, denominator, caps, variables=("x", "y")):
 # commutation (trace monoid) generating functions
 # ---------------------------------------------------------------------------
 
-def cf_series(n: int, caps, total_cap=None) -> TruncatedSeries:
-    """Truncated expansion of 1/(1 - sum x_i + sum x_i x_{i+1}).
-
-    This is the generating function of the monoid on generators 1..n in which
-    consecutive generators commute; the coefficient of a monomial counts the
-    interchange equivalence classes of words with that content. Its one
-    guard: an exponent box (the vectors under the caps and total_cap, which
-    the inverse visits) of more than CF_BOX_CAP entries raises GuardExceeded.
-    """
+def commutation_polynomial(n: int, caps) -> TruncatedSeries:
+    """1 - sum x_i + sum x_i x_{i+1} over x1..xn, truncated by the caps: the
+    denominator of cf_series."""
     if n < 1:
         raise DomainError("n must be >= 1")
     caps = tuple(caps)
     if len(caps) != n:
         raise DomainError("need one cap per variable")
-    _check_box(caps, sum(caps) if total_cap is None
-               else min(sum(caps), total_cap))
     variables = tuple(f"x{i}" for i in range(1, n + 1))
     terms: dict[tuple[int, ...], int] = {(0,) * n: 1}
     for i in range(n):
@@ -308,7 +244,21 @@ def cf_series(n: int, caps, total_cap=None) -> TruncatedSeries:
         e = [0] * n
         e[i] = e[i + 1] = 1
         terms[tuple(e)] = 1
-    return TruncatedSeries(variables, caps, terms, total_cap=total_cap).inverse()
+    return TruncatedSeries(variables, caps, terms)
+
+
+def cf_series(n: int, caps) -> TruncatedSeries:
+    """Truncated expansion of 1/(1 - sum x_i + sum x_i x_{i+1}).
+
+    This is the generating function of the monoid on generators 1..n in which
+    consecutive generators commute; the coefficient of a monomial counts the
+    interchange equivalence classes of words with that content. Its one
+    guard: an exponent box (the vectors under the caps, which the inverse
+    visits) of more than CF_BOX_CAP entries raises GuardExceeded.
+    """
+    denominator = commutation_polynomial(n, caps)
+    _check_box(denominator.caps)
+    return denominator.inverse()
 
 
 def multiset_count_cf(spec: MultisetSpec) -> int:

@@ -161,30 +161,9 @@ def consecutive_moves(word) -> set[Word]:
     return set(_neighbours(check_word(word), (1,)))
 
 
-def geq_j_moves(word, j: int) -> set[Word]:
-    """All words reachable by one swap of adjacent letters differing by >= j.
-
-    Defined for permutations only; j must be at least 2.
-
-    >>> sorted(geq_j_moves((1, 3, 2), 2))
-    [(3, 1, 2)]
-    """
-    if j < 2:
-        raise DomainError(f"j must be >= 2, got {j}")
-    w = check_permutation(word)
-    # letters of a permutation of [n] differ by at most n - 1
-    return set(_neighbours(w, range(j, len(w))))
-
-
 # ---------------------------------------------------------------------------
 # sparse subsets and Fibonacci numbers
 # ---------------------------------------------------------------------------
-
-def is_sparse(ranks) -> bool:
-    """True if the set contains no two consecutive integers."""
-    s = sorted(ranks)
-    return all(b - a >= 2 for a, b in zip(s, s[1:]))
-
 
 def sparse_subsets(n: int) -> list[frozenset[int]]:
     """All sparse subsets of [n-1]; there are F(n+1) of them.
@@ -248,14 +227,6 @@ class MultisetSpec:
         return cls(pairs)
 
     @classmethod
-    def from_word(cls, word) -> "MultisetSpec":
-        w = check_word(word)
-        counts: dict[int, int] = {}
-        for a in w:
-            counts[a] = counts.get(a, 0) + 1
-        return cls.from_mapping(counts)
-
-    @classmethod
     def parse(cls, text: str) -> "MultisetSpec":
         """Parse "1:2,2:1,3:2" into a spec.
 
@@ -281,12 +252,13 @@ class MultisetSpec:
     def total(self) -> int:
         return sum(r for _, r in self.counts)
 
-    def multiplicity(self, v: int) -> int:
-        return dict(self.counts).get(v, 0)
-
     def caps_vector(self) -> tuple[int, ...]:
         """Multiplicities of the values present, in order, with one zero
-        for each gap between them however wide, and none below the least."""
+        for each gap between them however wide, and none below the least.
+
+        >>> MultisetSpec.parse("1:2,4:1,9:3").caps_vector()
+        (2, 0, 1, 0, 3)
+        """
         out: list[int] = []
         for i, (v, r) in enumerate(self.counts):
             if i and v > self.counts[i - 1][0] + 1:

@@ -263,16 +263,14 @@ def test_singleton_series():
 
 
 def test_f_j_count():
-    assert f_j_count(3, 2, "brute") == 4
+    assert f_j_count(3, 2) == 4
     assert f_j_count(2, 3) == 2
     assert f_j_count(5, 3) == 54
     for n in range(7):
         for j in (2, 3):
-            assert f_j_count(n, j, "formula") == f_j_count(n, j, "brute")
+            assert f_j_count(n, j) == len(class_partition(n, f"geq:{j}"))
     with pytest.raises(DomainError):
         f_j_count(3, 1)
-    with pytest.raises(DomainError):
-        f_j_count(3, 2, "telepathy")
 
 
 def test_geq_orbits_have_unique_reduced_word():

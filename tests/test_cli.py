@@ -333,3 +333,13 @@ def test_count_refuses_negative_n(capsys):
             assert (code, out, err) == (1, "", "error: n must be >= 0\n")
     code, out, err = run(capsys, "classes", "--n", "-2")
     assert (code, out, err) == (1, "", "error: n must be >= 0\n")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # the caps are checked before the exponent box is sized
+    ("cf --n 3 --caps 200,200,-201", "caps must be nonnegative"),
+    ("enumerate --by rank --max -1", "rank bound must be >= 0"),
+    ("enumerate --by elements --max -1", "element bound must be >= 0"),
+])
+def test_negative_sizes_exit_1(capsys, argv, expected):
+    assert run(capsys, *argv.split()) == (1, "", f"error: {expected}\n")

@@ -3,22 +3,21 @@ import pytest
 from salient.errors import DomainError, GuardExceeded
 from salient.mfenum import (_lattice_words, count_distributive_mf,
                             distributive_count_series, distributive_mf_family,
-                            g_blocks, generate_mf_posets, mf_counts_by_elements,
+                            generate_mf_posets, mf_counts_by_elements,
                             mf_counts_by_rank, mf_rank_element_table,
                             u_bivariate)
 from salient.posets import (GradedPoset, all_bounded_graded_posets,
-                            all_posets_up_to_iso, are_isomorphic, gamma_words,
+                            all_posets_up_to_iso, are_isomorphic,
                             q_from_commuting_word)
+from salient.series import TruncatedSeries
 
 
 def test_g_blocks():
-    assert [g_blocks(n) for n in range(1, 8)] == [1, 1, 1, 2, 4, 8, 16]
-    for n in range(1, 8):
-        # the indecomposable blocks are the lattice words with no singleton
-        blocks = sum("1" not in word for word in _lattice_words(n))
-        assert g_blocks(n) == len(gamma_words(n)) == blocks
-    with pytest.raises(DomainError):
-        g_blocks(0)
+    # the indecomposable n-element blocks are the lattice words with no
+    # singleton: 1, 1, then one per gamma word, 2^(n-3)
+    blocks = [sum("1" not in word for word in _lattice_words(n))
+              for n in range(1, 8)]
+    assert blocks == [1, 1, 1, 2, 4, 8, 16]
 
 
 def test_distributive_family_counts():
@@ -81,6 +80,16 @@ def test_mf_counts_small():
         list(generate_mf_posets("rank", 99))
 
 
+def test_negative_bounds_are_domain_errors():
+    for by, name in (("rank", "rank"), ("elements", "element")):
+        with pytest.raises(DomainError, match=f"^{name} bound must be >= 0$"):
+            list(generate_mf_posets(by, -1))
+    for count in (mf_counts_by_rank, mf_counts_by_elements,
+                  mf_rank_element_table):
+        with pytest.raises(DomainError):
+            count(-1)
+
+
 def test_generated_mf_posets_pairwise_non_isomorphic():
     # the generator never canonicalizes: uniqueness of the block
     # decomposition is what keeps its output free of isomorphic repeats
@@ -110,7 +119,12 @@ def test_u_bivariate_matches_table():
     for n in range(1, 6):
         for k in range(2, 13):
             assert series.coefficient((n, k)) == table.get((n, k), 0)
-    wrong = u_bivariate(5, 12, numerator_y_power=3)
+    # the (1 - 3xy^3) numerator variant is refuted by the table
+    def poly(coeffs):
+        return TruncatedSeries(series.variables, series.caps, coeffs)
+
+    wrong = (series * poly({(0, 0): 1, (1, 3): -3})
+             * poly({(0, 0): 1, (1, 2): -3}).inverse())
     assert any(wrong.coefficient((n, k)) != table.get((n, k), 0)
                for n in range(1, 6) for k in range(2, 13))
 
