@@ -2,9 +2,10 @@
 
 One subcommand per concept; every invocation is deterministic (identical
 arguments give byte-identical output). Exit codes: 0 success, 1 domain or
-usage error, 2 guard or cap exceeded. Guards are adjustable per subcommand
-with --limit; the SALIENT_LIMIT_MB environment variable additionally caps
-the memory of breadth-first orbit closures.
+usage error, 2 guard or cap exceeded. The --limit of classes, count, class,
+singletons, multiset and poset extensions overrides that subcommand's guard;
+every other guard is fixed. The SALIENT_LIMIT_MB environment variable
+additionally caps the memory of breadth-first orbit closures.
 """
 from __future__ import annotations
 
@@ -21,15 +22,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise DomainError(message)
-
-
-class _StoreGiven(argparse.Action):
-    """Store the value and note that the flag was given: argparse cannot
-    tell an explicit value equal to the default from no value at all."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, self.dest + "_given", True)
 
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -87,8 +79,6 @@ def cmd_count(args) -> int:
         value = classes.f_series(args.n)[args.n]
     elif args.method == "bfs":
         value = len(classes.class_partition(args.n, max_n=args.limit))
-    else:
-        raise DomainError(f"unknown method {args.method!r}")
     print(value)
     return 0
 
@@ -131,14 +121,15 @@ def cmd_singletons(args) -> int:
 def cmd_multiset(args) -> int:
     spec = words.MultisetSpec.parse(args.spec)
     if args.count_only:
-        if args.limit_given:
+        if args.limit is not None:
             raise DomainError(
                 "--limit does not apply to --count-only (the count is "
                 f"guarded by its exponent box, at most {series.CF_BOX_CAP} "
                 "entries)")
         print(series.multiset_count_cf(spec))
         return 0
-    partition = classes.multiset_class_partition(spec, max_total=args.limit)
+    limit = classes.DEFAULT_MULTISET_TOTAL if args.limit is None else args.limit
+    partition = classes.multiset_class_partition(spec, max_total=limit)
     _print_classes(args, {"spec": spec.format()}, partition)
     return 0
 
@@ -166,7 +157,7 @@ def cmd_f4(args) -> int:
 
 
 def cmd_umbral(args) -> int:
-    values = series.g_umbral_series(args.k, args.upto, max_order=args.limit)
+    values = series.g_umbral_series(args.k, args.upto)
     if args.format == "json":
         print(json.dumps([str(v) for v in values]))
     else:
@@ -291,10 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help='e.g. "1:2,2:1,3:2"')
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--members-limit", type=int, default=1000)
-    p.add_argument("--limit", type=int, default=classes.DEFAULT_MULTISET_TOTAL,
-                   action=_StoreGiven,
+    p.add_argument("--limit", type=int,
                    help="override the size cap (not with --count-only)")
-    p.set_defaults(limit_given=False)
     add_format(p)
     p.set_defaults(func=cmd_multiset)
 
@@ -312,9 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("umbral", help="counts for {1^k,...,n^k}")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--upto", type=int, required=True)
-    p.add_argument("--limit", type=int,
-                   default=series.DEFAULT_UMBRAL_ORDER_CAP,
-                   help="override the order guard")
     add_format(p)
     p.set_defaults(func=cmd_umbral)
 

@@ -1,20 +1,24 @@
 """Shared exception types.
 
 Exceeding a guard raises GuardExceeded (CLI exit code 2); nothing is ever
-silently truncated. A guard is a keyword argument only where a caller sets
-it. Its DEFAULT_* constant is the keyword default and, for the six guards
-behind the CLI's --limit, that flag's default too. These keyword guards are
-the brute-force n caps of classes.class_partition and
-classes.count_singletons, the orbit member cap of classes.class_of, the
-multiset size cap of classes.multiset_class_partition, the order cap of
-series.g_umbral_series, and the size caps of NaturalPoset.extension_count
-(on the CLI) and NaturalPoset.descent_vector. Every other guard is a fixed
-module constant: posets.ISO_SIZE, posets.IDEAL_CAP,
-posets.EXTENSION_LIST_SIZE, posets.FLAG_RANK, posets.NATURAL_SWEEP,
-posets.GRADED_SWEEP_RANK and posets.GRADED_SWEEP_SIZE; series.CF_BOX_CAP
-(the exponent box of series.cf_series and so of series.multiset_count_cf)
-and series.PROFILE_CAP; mfenum.MAX_RANK, mfenum.MAX_ELEMENTS and
-mfenum.MAX_FAMILY. classes.count_classes_brute keeps to
+silently truncated. Each computation has one guard, checked in the function
+that pays the cost it bounds. A guard is a keyword argument only where a
+caller sets it. Its DEFAULT_* constant is the keyword default and, for the
+five guards behind the CLI's --limit, the value used without that flag.
+These keyword guards are the brute-force n caps of classes.class_partition
+and classes.count_singletons, the orbit member cap of classes.class_of, the
+multiset size cap of classes.multiset_class_partition, and the size caps of
+NaturalPoset.extension_count (on the CLI) and NaturalPoset.descent_vector.
+Every other guard is a fixed module constant: posets.ISO_SIZE (the canonical
+form, posets.canonical_relation_key, and the ideal lattice),
+posets.IDEAL_CAP, posets.EXTENSION_LIST_SIZE, posets.FLAG_RANK,
+posets.NATURAL_SWEEP (the labelled sweep) and posets.ISO_SWEEP (the
+isomorphism-class sweep behind posets.all_posets_up_to_iso and
+posets.all_bounded_graded_posets); series.CF_BOX_CAP (the exponent box of
+series.cf_series and so of series.multiset_count_cf) and series.PROFILE_CAP
+(the profile sums of series.c_poly and so of series.g_umbral_series);
+mfenum.MAX_RANK and mfenum.MAX_ELEMENTS (the level words, the distributive
+family included). classes.count_classes_brute keeps to
 classes.DEFAULT_BRUTE_N. Malformed input, a negative size or bound included,
 raises DomainError (CLI exit code 1).
 """

@@ -25,7 +25,7 @@ of the paper (ideal lattices J(P) with multiplicity-free flag h-vectors) is
 the family of their join-irreducible posets P, ordinal sums of q_gamma blocks.
 
 The guards are module constants: MAX_RANK and MAX_ELEMENTS bound the level
-words, MAX_FAMILY the distributive family.
+words, and so MAX_RANK bounds the distributive family too.
 """
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ from salient.series import TruncatedSeries, expand_rational
 
 MAX_RANK = 10
 MAX_ELEMENTS = 16
-MAX_FAMILY = 10
 
 
 def distributive_count_series(order: int) -> list[int]:
@@ -66,10 +65,6 @@ def count_distributive_mf(n: int) -> int:
 
 def _lattice_words(n: int) -> list[tuple[str, ...]]:
     """The level words of the rank-n distributive lattices of the family."""
-    if n < 0:
-        raise DomainError("n must be >= 0")
-    if n > MAX_FAMILY:
-        raise GuardExceeded(f"family generation limited to n <= {MAX_FAMILY}")
     return [word for word in _level_words("rank", n, _LATTICE_JOINS)
             if len(word) == n - 1]
 

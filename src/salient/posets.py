@@ -30,8 +30,7 @@ DEFAULT_EXTENSION_COUNT_SIZE = 20
 DEFAULT_DESCENT_SIZE = 14
 FLAG_RANK = 20
 NATURAL_SWEEP = 7
-GRADED_SWEEP_RANK = 5
-GRADED_SWEEP_SIZE = 10
+ISO_SWEEP = 8
 
 
 def _iter_bits(mask: int):
@@ -107,8 +106,11 @@ def canonical_relation_key(n: int, below) -> tuple:
     twins (elements with equal down-sets and equal up-sets, which the
     transposition of the two maps onto each other while fixing every other
     element) only the first unplaced one: the others give the same rows. An
-    antichain therefore has one branch, not n!.
+    antichain therefore has one branch, not n!. Posets of more than ISO_SIZE
+    elements raise GuardExceeded.
     """
+    if n > ISO_SIZE:
+        raise GuardExceeded(f"canonical form limited to {ISO_SIZE} elements")
     if n == 0:
         return (0, (), ())
     downs = _bit_lists(below)
@@ -426,9 +428,6 @@ class GradedPoset:
     # -- isomorphism
 
     def canonical_key(self) -> tuple:
-        if self.size > ISO_SIZE:
-            raise GuardExceeded(
-                f"canonical form limited to {ISO_SIZE} elements")
         return canonical_relation_key(self.size, self.below_masks())
 
     # -- serialization
@@ -717,9 +716,6 @@ class NaturalPoset:
     # -- isomorphism
 
     def canonical_key(self) -> tuple:
-        if self.n > ISO_SIZE:
-            raise GuardExceeded(
-                f"canonical form limited to {ISO_SIZE} elements")
         return canonical_relation_key(self.n, self.down)
 
     def __repr__(self):
@@ -888,15 +884,16 @@ def all_posets_up_to_iso(n: int) -> list[NaturalPoset]:
     """
     if n < 0:
         raise DomainError("n must be >= 0")
-    if n > NATURAL_SWEEP:
-        raise GuardExceeded(
-            f"isomorphism-class sweep limited to n <= {NATURAL_SWEEP}")
     return list(_iso_sweep(n))[-1]
 
 
 def _iso_sweep(max_n: int):
     """The sweep of all_posets_up_to_iso, yielding the representatives of
-    each size 0..max_n as they are grown (nothing when max_n < 0)."""
+    each size 0..max_n as they are grown (nothing when max_n < 0). Its one
+    guard: max_n above ISO_SWEEP raises GuardExceeded before any growth."""
+    if max_n > ISO_SWEEP:
+        raise GuardExceeded(f"isomorphism-class sweep to {max_n} elements "
+                            f"exceeds limit {ISO_SWEEP}")
     reps = [NaturalPoset(0, ())]
     for size in range(max_n + 1):
         if size:
@@ -922,12 +919,10 @@ def all_bounded_graded_posets(max_rank: int,
     height by exactly one and its maximal elements all have height h - 1; it
     becomes element 0 (bottom), label v as element v, and n + 1 (top). No
     two interiors are isomorphic, so neither are the results. The list is
-    ordered by size and then by the order of the sweep.
+    ordered by size and then by the order of the sweep. The sweep's guard
+    (interiors of at most ISO_SWEEP elements) is the only one, so max_size
+    above ISO_SWEEP + 2 raises GuardExceeded; max_rank only filters.
     """
-    if max_rank > GRADED_SWEEP_RANK or max_size > GRADED_SWEEP_SIZE:
-        raise GuardExceeded(
-            f"exhaustive graded sweep limited to rank {GRADED_SWEEP_RANK} "
-            f"and {GRADED_SWEEP_SIZE} elements")
     out: list[GradedPoset] = []
     for n, interiors in enumerate(_iso_sweep(max_size - 2)):
         for interior in interiors:

@@ -29,7 +29,6 @@ from salient.words import MultisetSpec
 
 CF_BOX_CAP = 10_000
 PROFILE_CAP = 200
-DEFAULT_UMBRAL_ORDER_CAP = 100
 
 
 def _norm(value):
@@ -209,14 +208,18 @@ class TruncatedSeries:
 # rational expansion
 # ---------------------------------------------------------------------------
 
-def expand_rational(numerator, denominator, caps, variables=("x", "y")):
+def expand_rational(numerator, denominator, caps, variables=None):
     """Expand numerator/denominator as a TruncatedSeries under the caps, one
     per variable, through TruncatedSeries.inverse.
 
     Numerator and denominator are dicts mapping exponent vectors to
-    coefficients; the denominator needs a nonzero constant term.
+    coefficients; the denominator needs a nonzero constant term. The
+    variables default to x, or x and y, or x1..xn for n >= 3 caps.
     """
-    variables = tuple(variables)[: len(tuple(caps))]
+    caps = tuple(caps)
+    if variables is None:
+        variables = (("x", "y")[:len(caps)] if len(caps) <= 2
+                     else tuple(f"x{i}" for i in range(1, len(caps) + 1)))
     den = TruncatedSeries(variables, caps, dict(denominator))
     num = TruncatedSeries(variables, caps, dict(numerator))
     return num * den.inverse()
@@ -360,21 +363,19 @@ def c_poly(m: int, k: int) -> dict[int, object]:
             for (_, nu), value in states.items()}
 
 
-def g_umbral_series(k: int, order: int,
-                    max_order=DEFAULT_UMBRAL_ORDER_CAP) -> list[int]:
+def g_umbral_series(k: int, order: int) -> list[int]:
     """Class counts for the multisets {1^k, ..., n^k}, n = 0..order.
 
     Builds F(x, t) = sum_m c_poly(m, k) x^m, inverts 1 - F with
     TruncatedSeries.inverse and applies phi (t^m -> m!) to each x-row. Each
     result must be a nonnegative integer; anything else means the pipeline
-    is internally inconsistent and raises.
+    is internally inconsistent and raises. Its one guard is c_poly's: k *
+    order above PROFILE_CAP raises GuardExceeded before any block is built.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     if order < 0:
         raise DomainError("order must be >= 0")
-    if order > max_order:
-        raise GuardExceeded(f"order {order} exceeds limit {max_order}")
     # refuse up front, as c_poly would at the first block over the cap
     _profile_guard(min(order, PROFILE_CAP // k + 1), k)
     # x^m has t-exponents <= mk; F(k! x, t) has integer coefficients (see

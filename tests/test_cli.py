@@ -283,7 +283,7 @@ ORBIT_21 = ("1234567 1234576 1234657 1235467 1235476 1243567 1243576 1243657 "
     ("singletons --n 10", 2, "n = 10 exceeds brute-force limit 9"),
     ("multiset --spec 1:11", 2, "multiset size 11 exceeds limit 10"),
     ("cf --n 1 --caps 25", 0, "".join(f"{k} 1\n" for k in range(26))),
-    ("umbral --k 1 --upto 101", 2, "order 101 exceeds limit 100"),
+    ("umbral --k 1 --upto 201", 2, "m*k = 201 exceeds limit 200"),
     ("poset extensions --qn 21", 2,
      "extension counting limited to 20 elements"),
     # the --limit override, lowered or raised
@@ -296,8 +296,10 @@ ORBIT_21 = ("1234567 1234576 1234657 1235467 1235476 1243567 1243576 1243657 "
     # cf has no --limit: its one guard is the exponent box
     ("cf --n 1 --caps 25 --limit 25", 1,
      "unrecognized arguments: --limit 25"),
-    ("umbral --k 1 --upto 5 --limit 4", 2, "order 5 exceeds limit 4"),
-    ("umbral --k 1 --upto 5 --limit 5", 0, "1 1 1 2 8 42\n"),
+    # nor has umbral: its one guard is the profile cap, k * upto <= 200
+    ("umbral --k 1 --upto 5 --limit 5", 1,
+     "unrecognized arguments: --limit 5"),
+    ("umbral --k 2 --upto 101", 2, "m*k = 202 exceeds limit 200"),
     ("poset extensions --qn 21 --limit 21", 0, "17711\n"),
 ])
 def test_each_limit(capsys, argv, code, expected):

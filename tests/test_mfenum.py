@@ -99,14 +99,14 @@ def test_generated_mf_posets_pairwise_non_isomorphic():
 
 
 def test_generated_mf_posets_complete_against_the_graded_sweep():
-    # the independent sweep lists every bounded graded poset of rank <= 4
-    # and size <= 9 up to isomorphism; the family is its two-per-rank part
-    swept = {p.canonical_key() for p in all_bounded_graded_posets(4, 9)
-             if p.has_at_most_two_per_rank()}
-    for by, bound in (("rank", 4), ("elements", 9)):
-        keys = {p.canonical_key() for p in generate_mf_posets(by, bound)
-                if p.rank <= 4 and p.size <= 9}
-        assert keys == swept
+    # the independent sweep lists every bounded graded poset of at most 10
+    # elements up to isomorphism; the family is its two-per-rank part
+    swept = all_bounded_graded_posets(9, 10)
+    assert len(swept) == 2114
+    two_per_rank = {p.canonical_key() for p in swept
+                    if p.has_at_most_two_per_rank()}
+    keys = {p.canonical_key() for p in generate_mf_posets("elements", 10)}
+    assert keys == two_per_rank and len(keys) == 222
 
 
 def test_six_element_count():

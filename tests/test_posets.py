@@ -9,7 +9,7 @@ from salient import _kernels, _pykernels
 from salient.acceptance import DISTLAT_COUNTS
 from salient.errors import DomainError, GuardExceeded
 from salient.posets import (ISO_SIZE, GradedPoset, NaturalPoset,
-                            _check_chain_table, _iso_sweep,
+                            _check_chain_table,
                             all_bounded_graded_posets,
                             all_natural_posets, all_posets_up_to_iso,
                             are_isomorphic, canonical_relation_key,
@@ -658,6 +658,9 @@ def test_isomorphism_examples():
     with pytest.raises(GuardExceeded,
                        match="^canonical form limited to 24 elements$"):
         GradedPoset.chain(25).canonical_key()
+    with pytest.raises(GuardExceeded,
+                       match="^canonical form limited to 24 elements$"):
+        canonical_relation_key(25, [0] * 25)
     # twin-heavy inputs: an antichain has ISO_SIZE! orderings, all one key
     assert NaturalPoset.antichain(ISO_SIZE).canonical_key() == (
         ISO_SIZE, (0,) * ISO_SIZE, (0,) * ISO_SIZE)
@@ -822,14 +825,18 @@ def test_iso_sweep_matches_canonicalize_and_discard():
 
 
 def test_iso_sweep_guards():
-    with pytest.raises(GuardExceeded):
-        all_posets_up_to_iso(8)
+    # one guard on the sweep, whichever function drives it
+    refusal = "^isomorphism-class sweep to 9 elements exceeds limit 8$"
+    with pytest.raises(GuardExceeded, match=refusal):
+        all_posets_up_to_iso(9)
+    with pytest.raises(GuardExceeded, match=refusal):
+        all_bounded_graded_posets(9, 11)
     with pytest.raises(DomainError):
         all_posets_up_to_iso(-1)
 
 
 def test_iso_sweep_n8_and_distributive_count():
-    reps = list(_iso_sweep(8))[-1]
+    reps = all_posets_up_to_iso(8)
     assert len(reps) == 16999  # A000112
     two_ideals = sum(all(c <= 2 for c in q.ideal_size_profile())
                      for q in reps)
@@ -863,8 +870,11 @@ def test_bounded_graded_sweep_small():
         by_rank_size[key] = by_rank_size.get(key, 0) + 1
     assert by_rank_size == GRADED_COUNTS_4_9
     assert len({p.canonical_key() for p in swept}) == len(swept) == 369
+    # the sweep's size bound is the only guard; the rank bound filters (a
+    # poset of at most 7 elements has rank at most 6)
+    assert all_bounded_graded_posets(100, 7) == all_bounded_graded_posets(6, 7)
     with pytest.raises(GuardExceeded):
-        all_bounded_graded_posets(6, 10)
+        all_bounded_graded_posets(4, 11)
     # the 2-chain needs two elements and rank 1
     for rank in range(5):
         assert all_bounded_graded_posets(rank, 0) == []

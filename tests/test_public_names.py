@@ -1,8 +1,10 @@
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import salient
+import salient.errors
 
 TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
 
@@ -25,3 +27,18 @@ def test_every_traced_target_resolves():
         if owner:
             holder = getattr(holder, owner)
         assert callable(holder.__dict__.get(leaf)), (module_name, attr)
+
+
+def test_every_guard_in_the_inventory_resolves():
+    # salient/errors.py lists the guards as module.NAME (and Class.method);
+    # a deleted or renamed guard must not stay listed there
+    named = re.findall(r"\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)",
+                       salient.errors.__doc__)
+    assert len(named) > 20
+    missing = []
+    for owner, name in named:
+        holder = (getattr(salient, owner) if owner[0].isupper()
+                  else importlib.import_module(f"salient.{owner}"))
+        if not hasattr(holder, name):
+            missing.append(f"{owner}.{name}")
+    assert missing == []

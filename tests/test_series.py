@@ -249,8 +249,10 @@ def test_g_umbral_series():
     assert g_umbral_series(1, 8) == F_SEQ
     assert g_umbral_series(2, 4) == [1, 1, 1, 6, 216]
     assert g_umbral_series(2, 0) == [1]
-    with pytest.raises(GuardExceeded):
-        g_umbral_series(1, 300)
+    # the profile cap is the only guard: k = 1 runs up to order 200
+    assert g_umbral_series(1, 200)[:9] == F_SEQ
+    with pytest.raises(GuardExceeded, match=r"^m\*k = 201 exceeds limit 200$"):
+        g_umbral_series(1, 201)
     with pytest.raises(DomainError, match="^k must be >= 1$"):
         g_umbral_series(0, 1)
 
@@ -312,3 +314,12 @@ def test_expand_rational_bivariate():
     for i in range(4):
         for j in range(4):
             assert ts.coefficient((i, j)) == math.comb(i + j, i)
+    assert ts.variables == ("x", "y")
+
+
+def test_expand_rational_names_any_number_of_caps():
+    # 1/(1 - x1) under three caps: the default names follow the caps
+    ts = expand_rational({(0, 0, 0): 1}, {(0, 0, 0): 1, (1, 0, 0): -1},
+                         (2, 2, 2))
+    assert ts.variables == ("x1", "x2", "x3")
+    assert ts.terms() == [((0, 0, 0), 1), ((1, 0, 0), 1), ((2, 0, 0), 1)]
