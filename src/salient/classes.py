@@ -29,31 +29,24 @@ CONSECUTIVE = "consecutive"
 DEFAULT_ORBIT_CAP = 10_000_000
 DEFAULT_BRUTE_N = 8
 DEFAULT_SINGLETON_BRUTE_N = 9
-DEFAULT_MULTISET_TOTAL = 10
 
 
 @dataclass(frozen=True)
 class EquivalenceClass:
-    """An orbit: lexicographically sorted members plus the canonical one."""
+    """An orbit: its members in lexicographic order, the least canonical."""
 
     members: tuple[Word, ...]
-    representative: Word
-    size: int
+
+    @property
+    def representative(self) -> Word:
+        return self.members[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
     def __contains__(self, word) -> bool:
         return tuple(word) in self.members
-
-
-@dataclass(frozen=True)
-class SegmentDecomposition:
-    """Maximal runs of consecutive integers whose concatenation lies in the
-    class; the class factors as the product of the segment classes."""
-
-    segments: tuple[Word, ...]
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.segments)
 
 
 def parse_relation(relation: str) -> tuple[str, int | None]:
@@ -79,13 +72,15 @@ def _steps(relation: str, n: int) -> frozenset[int]:
 
 
 def _orbit_cap(word_length: int, cap: int) -> int:
+    """The member cap, lowered to what SALIENT_LIMIT_MB megabytes hold."""
+    if cap < 0:
+        raise DomainError(f"member cap must be >= 0, got {cap}")
     limit_mb = os.environ.get("SALIENT_LIMIT_MB")
     if limit_mb:
-        try:
-            budget = int(limit_mb)
-        except ValueError:
-            raise DomainError(
-                f"SALIENT_LIMIT_MB must be an integer, got {limit_mb!r}") from None
+        if not limit_mb.isdecimal():
+            raise DomainError("SALIENT_LIMIT_MB must be a non-negative "
+                              f"integer, got {limit_mb!r}")
+        budget = int(limit_mb)
         # rough per-member footprint: tuple header + letters + set slot
         per_member = 150 + 8 * word_length
         cap = min(cap, budget * 2 ** 20 // per_member)
@@ -120,19 +115,18 @@ def class_of(word, relation: str = CONSECUTIVE,
                             f"orbit of {w} exceeds {cap} members")
                     nxt.append(v)
         frontier = nxt
-    members = tuple(sorted(seen))
-    return EquivalenceClass(members=members, representative=members[0],
-                            size=len(members))
+    return EquivalenceClass(tuple(sorted(seen)))
 
 
 def _scan_partition(words: Iterable[Word], steps: frozenset[int],
-                    arrangements: int, length: int) -> list[EquivalenceClass]:
+                    arrangements: int, length: int,
+                    max_members: int) -> list[EquivalenceClass]:
     """The orbits of words listed in lexicographic order, by one union-find
     scan: each word is joined to every neighbour one move away that is
     lexicographically smaller (a swap at i with w_i - w_{i+1} in steps),
     which the scan has already met. Each set's root is its least word, so a
     parent is always smaller than its child."""
-    cap = _orbit_cap(length, DEFAULT_ORBIT_CAP)
+    cap = _orbit_cap(length, max_members)
     if arrangements > cap:
         raise OrbitOverflowError(
             f"{arrangements} arrangements exceed {cap} members")
@@ -163,36 +157,33 @@ def _scan_partition(words: Iterable[Word], steps: frozenset[int],
     parent.clear()
     out = []
     while members:
-        m = tuple(members.popitem()[1])
-        out.append(EquivalenceClass(members=m, representative=m[0],
-                                    size=len(m)))
+        out.append(EquivalenceClass(tuple(members.popitem()[1])))
     out.reverse()
     return out
 
 
 def class_partition(n: int, relation: str = CONSECUTIVE,
-                    max_n: int = DEFAULT_BRUTE_N) -> list[EquivalenceClass]:
+                    max_members: int = DEFAULT_ORBIT_CAP
+                    ) -> list[EquivalenceClass]:
     """All orbits of the relation on the permutations of [n], sorted by
-    representative, each with its members sorted."""
+    representative, each with its members sorted; refused when the n!
+    permutations exceed the member cap."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    if n > max_n:
-        raise GuardExceeded(f"n = {n} exceeds brute-force limit {max_n}")
     return _scan_partition(itertools.permutations(range(1, n + 1)),
-                           _steps(relation, n), math.factorial(n), n)
+                           _steps(relation, n), math.factorial(n), n,
+                           max_members)
 
 
 def multiset_class_partition(spec: MultisetSpec,
-                             max_total: int = DEFAULT_MULTISET_TOTAL
+                             max_members: int = DEFAULT_ORBIT_CAP
                              ) -> list[EquivalenceClass]:
-    """All consecutive-relation orbits on the arrangements of a multiset."""
-    if spec.total > max_total:
-        raise GuardExceeded(
-            f"multiset size {spec.total} exceeds limit {max_total}")
+    """All consecutive-relation orbits on the arrangements of a multiset;
+    refused when the arrangements exceed the member cap."""
     arrangements = math.factorial(spec.total) // math.prod(
         math.factorial(r) for _, r in spec.counts)
     return _scan_partition(spec.words(), _steps(CONSECUTIVE, spec.total),
-                           arrangements, spec.total)
+                           arrangements, spec.total, max_members)
 
 
 def _heap(w: Word) -> NaturalPoset:
@@ -227,8 +218,9 @@ def salient_representative(word) -> Word:
     return tuple(out)
 
 
-def segment_decomposition(word) -> SegmentDecomposition:
-    """Segments of a word with distinct letters: the heap's ordinal summands.
+def segment_decomposition(word) -> tuple[Word, ...]:
+    """Segments of a word with distinct letters: the heap's ordinal summands,
+    whose classes multiply to the word's class.
 
     A cut falls before position k when every position from k on lies above
     all earlier ones. A summand's letters are consecutive integers, written
@@ -251,7 +243,7 @@ def segment_decomposition(word) -> SegmentDecomposition:
                 seg.reverse()
             segments.append(tuple(seg))
             stop = k
-    return SegmentDecomposition(tuple(reversed(segments)))
+    return tuple(reversed(segments))
 
 
 def class_size(word) -> int:
@@ -262,8 +254,7 @@ def class_size(word) -> int:
     w = check_word(word)
     if len(set(w)) != len(w):
         return _heap(w).extension_count(max_size=len(w))
-    lengths = segment_decomposition(w).lengths
-    return math.prod(fibonacci(m + 1) for m in lengths)
+    return math.prod(fibonacci(len(s) + 1) for s in segment_decomposition(w))
 
 
 # ---------------------------------------------------------------------------

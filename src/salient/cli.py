@@ -2,10 +2,10 @@
 
 One subcommand per concept; every invocation is deterministic (identical
 arguments give byte-identical output). Exit codes: 0 success, 1 domain or
-usage error, 2 guard or cap exceeded. The --limit of classes, count, class,
-singletons, multiset and poset extensions overrides that subcommand's guard;
-every other guard is fixed. The SALIENT_LIMIT_MB environment variable
-additionally caps the memory of breadth-first orbit closures.
+usage error, 2 guard or cap exceeded. The --limit of classes, count, class
+and multiset sets the orbit member cap, in words, which SALIENT_LIMIT_MB
+may lower; that of singletons and poset extensions sets their size cap.
+Every other guard is fixed.
 """
 from __future__ import annotations
 
@@ -22,6 +22,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise DomainError(message)
+
+
+def _cap(text: str) -> int:
+    """A --limit value: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"needs a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -67,7 +75,7 @@ def _print_classes(args, head: dict, partition) -> None:
 
 def cmd_classes(args) -> int:
     partition = classes.class_partition(args.n, args.relation,
-                                        max_n=args.limit)
+                                        max_members=args.limit)
     _print_classes(args, {"n": args.n}, partition)
     return 0
 
@@ -78,7 +86,7 @@ def cmd_count(args) -> int:
     elif args.method == "series":
         value = classes.f_series(args.n)[args.n]
     elif args.method == "bfs":
-        value = len(classes.class_partition(args.n, max_n=args.limit))
+        value = len(classes.class_partition(args.n, max_members=args.limit))
     print(value)
     return 0
 
@@ -128,8 +136,8 @@ def cmd_multiset(args) -> int:
                 "entries)")
         print(series.multiset_count_cf(spec))
         return 0
-    limit = classes.DEFAULT_MULTISET_TOTAL if args.limit is None else args.limit
-    partition = classes.multiset_class_partition(spec, max_total=limit)
+    limit = classes.DEFAULT_ORBIT_CAP if args.limit is None else args.limit
+    partition = classes.multiset_class_partition(spec, max_members=limit)
     _print_classes(args, {"spec": spec.format()}, partition)
     return 0
 
@@ -239,13 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p, choices=("text", "json")):
         p.add_argument("--format", choices=choices, default="text")
 
+    def add_limit(p, default, help):
+        p.add_argument("--limit", type=_cap, default=default, help=help)
+
+    member_cap = ("orbit member cap, in words "
+                  f"(default {classes.DEFAULT_ORBIT_CAP})")
+
     p = sub.add_parser("classes", help="orbits of the relation on [n]")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--relation", default="consecutive",
                    help="consecutive or geq:J")
     p.add_argument("--members-limit", type=int, default=1000)
-    p.add_argument("--limit", type=int, default=classes.DEFAULT_BRUTE_N,
-                   help="override the brute-force n cap")
+    add_limit(p, classes.DEFAULT_ORBIT_CAP, member_cap)
     add_format(p)
     p.set_defaults(func=cmd_classes)
 
@@ -253,16 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("bfs", "formula", "series"),
                    required=True)
-    p.add_argument("--limit", type=int, default=classes.DEFAULT_BRUTE_N,
-                   help="override the brute-force n cap")
+    add_limit(p, classes.DEFAULT_ORBIT_CAP, member_cap)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("class", help="the class of one word")
     p.add_argument("--word", required=True)
     p.add_argument("--relation", default="consecutive")
     p.add_argument("--size-only", action="store_true")
-    p.add_argument("--limit", type=int, default=classes.DEFAULT_ORBIT_CAP,
-                   help="orbit member cap")
+    add_limit(p, classes.DEFAULT_ORBIT_CAP, member_cap)
     add_format(p)
     p.set_defaults(func=cmd_class)
 
@@ -273,17 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("singletons", help="one-element class count")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("brute", "series"), default="brute")
-    p.add_argument("--limit", type=int,
-                   default=classes.DEFAULT_SINGLETON_BRUTE_N,
-                   help="override the brute-force n cap")
+    add_limit(p, classes.DEFAULT_SINGLETON_BRUTE_N,
+              "override the brute-force n cap")
     p.set_defaults(func=cmd_singletons)
 
     p = sub.add_parser("multiset", help="classes of a multiset")
     p.add_argument("--spec", required=True, help='e.g. "1:2,2:1,3:2"')
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--members-limit", type=int, default=1000)
-    p.add_argument("--limit", type=int,
-                   help="override the size cap (not with --count-only)")
+    add_limit(p, None, member_cap)
     add_format(p)
     p.set_defaults(func=cmd_multiset)
 
@@ -316,9 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = poset_sub.add_parser("extensions", help="linear extension count")
     p.add_argument("--gamma")
     p.add_argument("--qn", type=int, help="commutation poset on [n]")
-    p.add_argument("--limit", type=int,
-                   default=posets.DEFAULT_EXTENSION_COUNT_SIZE,
-                   help="override the size cap")
+    add_limit(p, posets.DEFAULT_EXTENSION_COUNT_SIZE, "override the size cap")
     p.set_defaults(func=cmd_poset_extensions)
 
     p = sub.add_parser("enumerate", help="multiplicity-free family counts")

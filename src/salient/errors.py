@@ -4,10 +4,11 @@ Exceeding a guard raises GuardExceeded (CLI exit code 2); nothing is ever
 silently truncated. Each computation has one guard, checked in the function
 that pays the cost it bounds. A guard is a keyword argument only where a
 caller sets it. Its DEFAULT_* constant is the keyword default and, for the
-five guards behind the CLI's --limit, the value used without that flag.
-These keyword guards are the brute-force n caps of classes.class_partition
-and classes.count_singletons, the orbit member cap of classes.class_of, the
-multiset size cap of classes.multiset_class_partition, and the size caps of
+three guards behind the CLI's --limit, the value used without that flag.
+These keyword guards are the orbit member cap of classes.class_of,
+classes.class_partition and classes.multiset_class_partition (a partition
+checks its arrangement count against it; SALIENT_LIMIT_MB lowers it), the
+brute-force n cap of classes.count_singletons, and the size caps of
 NaturalPoset.extension_count (on the CLI) and NaturalPoset.descent_vector.
 Every other guard is a fixed module constant: posets.ISO_SIZE (the canonical
 form, posets.canonical_relation_key, and the ideal lattice),

@@ -75,6 +75,19 @@ def test_env_memory_cap(monkeypatch):
     monkeypatch.setenv("SALIENT_LIMIT_MB", "sixteen")
     with pytest.raises(DomainError):
         class_of((1, 2))
+    monkeypatch.setenv("SALIENT_LIMIT_MB", "-1")
+    with pytest.raises(DomainError,
+                       match="^SALIENT_LIMIT_MB must be a non-negative"):
+        class_partition(3)
+
+
+def test_negative_member_cap_is_a_domain_error():
+    spec = MultisetSpec.parse("1:2,2:1")
+    for compute in (lambda: class_of((1, 2, 3), max_members=-1),
+                    lambda: class_partition(3, max_members=-1),
+                    lambda: multiset_class_partition(spec, max_members=-1)):
+        with pytest.raises(DomainError, match="^member cap must be >= 0"):
+            compute()
 
 
 def test_partition_guard_counts_arrangements_first(monkeypatch):
@@ -97,6 +110,32 @@ def test_partition_guard_counts_arrangements_first(monkeypatch):
         class_partition(0)
 
 
+def test_member_cap_is_the_partitions_one_guard(monkeypatch):
+    # nine letters, as permutations or as a multiset of distinct letters,
+    # run under the default cap and give f(9) classes
+    nine = MultisetSpec.parse(",".join(f"{i}:1" for i in range(1, 10)))
+    assert len(class_partition(9)) == 132360 == f_inclusion_exclusion(9)
+    assert len(multiset_class_partition(nine)) == 132360
+    # a partition of exactly max_members words runs; one more is refused
+    assert len(class_partition(4, max_members=24)) == 8
+    with pytest.raises(OrbitOverflowError,
+                       match="^24 arrangements exceed 23 members$"):
+        class_partition(4, max_members=23)
+
+    def no_words(self):
+        pytest.fail("the scan drew a word")
+        yield
+
+    # one past the default cap, refused before any word is drawn
+    monkeypatch.setattr(MultisetSpec, "words", no_words)
+    with pytest.raises(OrbitOverflowError, match="^10400600 arrangements "
+                       "exceed 10000000 members$"):
+        multiset_class_partition(MultisetSpec.parse("1:13,3:13"))
+    with pytest.raises(OrbitOverflowError, match="^39916800 arrangements "
+                       "exceed 10000000 members$"):
+        class_partition(11)
+
+
 def test_salient_representative_examples():
     assert salient_representative((2, 1, 3)) == (1, 2, 3)
     assert salient_representative((4, 1, 2, 3)) == (4, 1, 2, 3)
@@ -110,12 +149,12 @@ def test_salient_representative_examples():
 
 
 def test_segment_decomposition_examples():
-    assert segment_decomposition(identity(5)).segments == ((1, 2, 3, 4, 5),)
-    assert segment_decomposition((3, 2, 1, 6, 5, 4)).segments == (
+    assert segment_decomposition(identity(5)) == ((1, 2, 3, 4, 5),)
+    assert segment_decomposition((3, 2, 1, 6, 5, 4)) == (
         (3, 2, 1), (6, 5, 4))
-    assert segment_decomposition((2, 1, 4, 3)).segments == ((1, 2, 3, 4),)
+    assert segment_decomposition((2, 1, 4, 3)) == ((1, 2, 3, 4),)
     # length-two runs are normalized to increasing order
-    assert segment_decomposition((2, 1)).segments == ((1, 2),)
+    assert segment_decomposition((2, 1)) == ((1, 2),)
     with pytest.raises(DomainError, match="needs distinct letters"):
         segment_decomposition((1, 1))
 
@@ -128,7 +167,7 @@ def test_segments_are_maximal_against_bfs():
         for cls in class_partition(n):
             members = set(cls.members)
             for w in cls.members:
-                segments = segment_decomposition(w).segments
+                segments = segment_decomposition(w)
                 assert sum(segments, ()) in members
                 for seg in segments:
                     step = 1 if seg == tuple(sorted(seg)) else -1
@@ -295,5 +334,9 @@ def test_multiset_partition_examples():
     assert len(multiset_class_partition(MultisetSpec.parse("1:3"))) == 1
     ordinary = MultisetSpec.parse("1:1,2:1,3:1,4:1")
     assert len(multiset_class_partition(ordinary)) == 8
-    with pytest.raises(GuardExceeded):
-        multiset_class_partition(MultisetSpec.parse("1:6,2:6"))
+    # 924 arrangements, well under the member cap
+    assert sum(c.size for c in multiset_class_partition(
+        MultisetSpec.parse("1:6,2:6"))) == 924
+    with pytest.raises(OrbitOverflowError):
+        multiset_class_partition(MultisetSpec.parse("1:6,2:6"),
+                                 max_members=923)

@@ -97,9 +97,10 @@ def test_multiset(capsys):
 def test_multiset_count_only_refuses_limit(capsys):
     refusal = ("error: --limit does not apply to --count-only (the count "
                "is guarded by its exponent box, at most 10000 entries)\n")
-    # a limit above the spec's size, below it, and equal to --limit's default
-    for spec, limit in (("1:13,2:12", "30"), ("1:3,2:2", "3"),
-                        ("1:3,2:2", "10")):
+    # a limit above the spec's arrangement count, below it, and equal to
+    # the member cap's default
+    for spec, limit in (("1:13,2:12", "10400600"), ("1:3,2:2", "3"),
+                        ("1:3,2:2", "10000000")):
         code, out, err = run(capsys, "multiset", "--spec", spec,
                              "--count-only", "--limit", limit)
         assert (code, out, err) == (1, "", refusal)
@@ -229,7 +230,8 @@ def test_verify_single_suite(capsys):
 
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "count", "--n", "12", "--method", "bfs")
-    assert code == 2 and "exceeds" in err
+    assert code == 2
+    assert err == "error: 479001600 arrangements exceed 10000000 members\n"
     code, _, err = run(capsys, "class", "--word", "3x1")
     assert code == 1
     code, _, err = run(capsys, "count", "--n", "3", "--method", "sorcery")
@@ -261,11 +263,16 @@ def test_class_json_round_trip(capsys):
 
 
 def test_guard_override(capsys):
+    # --limit counts words: 9! = 362880 permutations fit a cap of 362880
     code, out, _ = run(capsys, "count", "--n", "9", "--method", "bfs",
-                       "--limit", "9")
+                       "--limit", "362880")
     assert code == 0
     code, out2, _ = run(capsys, "count", "--n", "9", "--method", "formula")
-    assert out == out2
+    assert out == out2 == "132360\n"
+    code, out, err = run(capsys, "count", "--n", "9", "--method", "bfs",
+                         "--limit", "362879")
+    assert (code, out) == (2, "")
+    assert err == "error: 362880 arrangements exceed 362879 members\n"
 
 
 FORTY = ",".join(map(str, range(1, 41)))
@@ -276,23 +283,31 @@ ORBIT_21 = ("1234567 1234576 1234657 1235467 1235476 1243567 1243576 1243657 "
 
 @pytest.mark.parametrize("argv, code, expected", [
     # one past each guard's default
-    ("classes --n 9", 2, "n = 9 exceeds brute-force limit 8"),
-    ("count --n 9 --method bfs", 2, "n = 9 exceeds brute-force limit 8"),
+    ("classes --n 11", 2, "39916800 arrangements exceed 10000000 members"),
+    ("count --n 11 --method bfs", 2,
+     "39916800 arrangements exceed 10000000 members"),
     (f"class --word {FORTY}", 2,
      f"orbit of {tuple(range(1, 41))} exceeds 10000000 members"),
     ("singletons --n 10", 2, "n = 10 exceeds brute-force limit 9"),
-    ("multiset --spec 1:11", 2, "multiset size 11 exceeds limit 10"),
+    ("multiset --spec 1:13,3:13", 2,
+     "10400600 arrangements exceed 10000000 members"),
+    ("multiset --spec 1:11", 0, "11111111111 size=1: 11111111111\n"),
     ("cf --n 1 --caps 25", 0, "".join(f"{k} 1\n" for k in range(26))),
     ("umbral --k 1 --upto 201", 2, "m*k = 201 exceeds limit 200"),
     ("poset extensions --qn 21", 2,
      "extension counting limited to 20 elements"),
     # the --limit override, lowered or raised
-    ("classes --n 3 --limit 2", 2, "n = 3 exceeds brute-force limit 2"),
+    ("classes --n 4 --limit 23", 2, "24 arrangements exceed 23 members"),
+    ("classes --n 4 --limit 24 --members-limit 0", 0,
+     "1234 size=5\n1342 size=3\n2314 size=3\n2341 size=3\n"
+     "2413 size=1\n3142 size=1\n3412 size=5\n4123 size=3\n"),
     ("class --word 1234567 --limit 20", 2,
      "orbit of (1, 2, 3, 4, 5, 6, 7) exceeds 20 members"),
     ("class --word 1234567 --limit 21", 0, ORBIT_21),
     ("singletons --n 6 --limit 5", 2, "n = 6 exceeds brute-force limit 5"),
-    ("multiset --spec 1:11 --limit 11", 0, "11111111111 size=1: 11111111111\n"),
+    ("multiset --spec 1:5,2:6 --limit 461", 2,
+     "462 arrangements exceed 461 members"),
+    ("multiset --spec 1:11 --limit 1", 0, "11111111111 size=1: 11111111111\n"),
     # cf has no --limit: its one guard is the exponent box
     ("cf --n 1 --caps 25 --limit 25", 1,
      "unrecognized arguments: --limit 25"),
@@ -345,3 +360,26 @@ def test_count_refuses_negative_n(capsys):
 ])
 def test_negative_sizes_exit_1(capsys, argv, expected):
     assert run(capsys, *argv.split()) == (1, "", f"error: {expected}\n")
+
+
+NOT_A_CAP = "argument --limit: needs a non-negative integer, got '-1'"
+
+
+@pytest.mark.parametrize("argv, limit_mb, expected", [
+    ("classes --n 3 --limit -1", None, NOT_A_CAP),
+    ("count --n 3 --method bfs --limit -1", None, NOT_A_CAP),
+    ("class --word 123 --limit -1", None, NOT_A_CAP),
+    ("singletons --n 3 --limit -1", None, NOT_A_CAP),
+    ("multiset --spec 1:2,2:1 --limit -1", None, NOT_A_CAP),
+    ("poset extensions --qn 3 --limit -1", None, NOT_A_CAP),
+    ("classes --n 3", "-1",
+     "SALIENT_LIMIT_MB must be a non-negative integer, got '-1'"),
+])
+def test_negative_limits_exit_1(capsys, monkeypatch, argv, limit_mb,
+                                expected):
+    if limit_mb is not None:
+        monkeypatch.setenv("SALIENT_LIMIT_MB", limit_mb)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    # argparse prints the usage before its own message
+    assert err.endswith(f"error: {expected}\n")
