@@ -63,7 +63,9 @@ def check_fibonacci_sizes() -> str:
     """Fibonacci product sizes match breadth-first sizes everywhere."""
     for n in range(8):
         for cls in classes.class_partition(n):
-            for w in cls.members:
+            members = cls.members   # listed breadth-first
+            _check(len(members) == cls.size, cls.representative)
+            for w in members:
                 _check(classes.class_size(w) == cls.size, w)
     for n in range(13):
         _check(classes.class_size(words.identity(n))

@@ -2,22 +2,25 @@
 class sizes, and the class-counting formulas and series.
 
 The relations are trace equivalences, so a class is a connected component of
-the move graph. Partitions come from one union-find scan over the words in
-lexicographic order; class_of lists a single class by breadth-first closure
-and is the oracle for the scan. Member order is lexicographic. Sizes, minima
-and segments are read off the word's heap poset instead. The orbit memory
-guard is a member cap (default 10**7) and, when SALIENT_LIMIT_MB is set, a
-byte budget. A partition checks its arrangement count against it before the
-scan; class_of checks the heap's class size (consecutive relation) before the
-search and the visited set as it grows.
+the move graph; a relation is the set of letter differences at which adjacent
+letters swap. A partition lists each class's least word, its lexicographic
+normal form, by a depth-first search that visits no other word, with the
+class's size counted off the word's heap as the search goes. A class's
+members are listed only when read, by the breadth-first closure that class_of
+runs on a single class; tests/test_classes.py keeps a union-find scan over
+every word as the partition's oracle. Member order is lexicographic. Sizes,
+minima and segments of single words are read off the heap poset too. The
+orbit memory guard is a member cap (default 10**7) and, when SALIENT_LIMIT_MB
+is set, a byte budget. A partition checks its arrangement count against it
+before the search; class_of checks the heap's class size (consecutive
+relation) before its closure and the visited set as it grows.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterator
 
 from salient import series
 from salient.errors import DomainError, GuardExceeded, OrbitOverflowError
@@ -31,22 +34,55 @@ DEFAULT_BRUTE_N = 8
 DEFAULT_SINGLETON_BRUTE_N = 9
 
 
-@dataclass(frozen=True)
 class EquivalenceClass:
-    """An orbit: its members in lexicographic order, the least canonical."""
+    """An orbit: its least member (the representative), its size and the
+    relation's letter differences. The members, in lexicographic order, are
+    listed by breadth-first closure each time they are read, unless the class
+    was built with them; equality, hashing and `in` go by the members."""
 
-    members: tuple[Word, ...]
+    __slots__ = ("_representative", "_size", "_steps", "_members")
+
+    def __init__(self, representative: Word, size: int,
+                 steps: frozenset[int],
+                 members: tuple[Word, ...] | None = None):
+        self._representative = representative
+        self._size = size
+        self._steps = steps
+        self._members = members
 
     @property
     def representative(self) -> Word:
-        return self.members[0]
+        return self._representative
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self._size
+
+    @property
+    def members(self) -> tuple[Word, ...]:
+        if self._members is not None:
+            return self._members
+        return tuple(sorted(_closure(self._representative, self._steps,
+                                     self._size)))
 
     def __contains__(self, word) -> bool:
         return tuple(word) in self.members
+
+    def __eq__(self, other):
+        if not isinstance(other, EquivalenceClass):
+            return NotImplemented
+        # a representative and its relation determine the members
+        return (self._representative == other._representative
+                and self._size == other._size
+                and (self._steps == other._steps
+                     or self.members == other.members))
+
+    def __hash__(self):
+        return hash((self._representative, self._size))
+
+    def __repr__(self):
+        return (f"EquivalenceClass(representative={self._representative}, "
+                f"size={self._size})")
 
 
 def parse_relation(relation: str) -> tuple[str, int | None]:
@@ -94,96 +130,224 @@ def class_of(word, relation: str = CONSECUTIVE,
     Multiset words are only meaningful for the consecutive relation; the
     geq relations require a permutation. For the consecutive relation the
     class size is read off the heap first, so an orbit over the member cap
-    raises before the search starts; the cap is also enforced as it grows.
+    raises before the search starts, and the search stops at that size;
+    otherwise it stops one word past the cap, and raises.
     """
     kind, _ = parse_relation(relation)
     w = check_word(word) if kind == CONSECUTIVE else check_permutation(word)
     steps = _steps(relation, len(w))
     cap = _orbit_cap(len(w), max_members)
-    if kind == CONSECUTIVE and class_size(w) > cap:
+    if kind == CONSECUTIVE:
+        limit = class_size(w)
+        if limit > cap:
+            raise OrbitOverflowError(f"orbit of {w} exceeds {cap} members")
+    else:
+        limit = cap + 1
+    seen = _closure(w, steps, limit)
+    if len(seen) > cap:
         raise OrbitOverflowError(f"orbit of {w} exceeds {cap} members")
+    members = tuple(sorted(seen))
+    return EquivalenceClass(members[0], len(members), steps, members)
+
+
+def _closure(w: Word, steps: frozenset[int], limit: int) -> set[Word]:
+    """The words that the moves at letter differences in steps reach from
+    w, by breadth-first search, which stops once it holds limit words."""
     seen = {w}
     frontier = [w]
-    while frontier:
+    while frontier and len(seen) < limit:
         nxt = []
         for u in frontier:
             for v in _neighbours(u, steps):
                 if v not in seen:
                     seen.add(v)
-                    if len(seen) > cap:
-                        raise OrbitOverflowError(
-                            f"orbit of {w} exceeds {cap} members")
+                    if len(seen) == limit:
+                        return seen
                     nxt.append(v)
         frontier = nxt
-    return EquivalenceClass(tuple(sorted(seen)))
+    return seen
 
 
-def _scan_partition(words: Iterable[Word], steps: frozenset[int],
-                    arrangements: int, length: int,
-                    max_members: int) -> list[EquivalenceClass]:
-    """The orbits of words listed in lexicographic order, by one union-find
-    scan: each word is joined to every neighbour one move away that is
-    lexicographically smaller (a swap at i with w_i - w_{i+1} in steps),
-    which the scan has already met. Each set's root is its least word, so a
-    parent is always smaller than its child."""
-    cap = _orbit_cap(length, max_members)
+def _normal_forms(counts: list[int], commute: list[int]
+                  ) -> Iterator[tuple[Word, int]]:
+    """The least word of each class of arrangements of the letters 1..k,
+    letter c taken counts[c] times (counts[0] is 0), in lexicographic
+    order, each with the size of its class; commute[c] has bit x set when
+    letters c and x commute (never c itself).
+
+    A word is the least of its class exactly when no letter c comes after a
+    run of letters that all commute with c and hold one greater than c
+    (Anisimov and Knuth 1979; Diekert and Rozenberg, The Book of Traces).
+    Every prefix of such a word is one too, so a depth-first search in
+    letter order checks each append against the run before it and visits no
+    other word. After a letter is taken back the next one is tried, so the
+    word itself is the search's stack.
+
+    The size of a class is the number of linear extensions of its heap,
+    counted from the end (a heap and its reversal have as many): count(u)
+    is the sum of count(u without j) over the free positions j, those
+    whose letter commutes with every later letter. The last position is
+    one, and u without it is the search's prefix, whose count the search
+    keeps; a running AND of the commute masks finds the others, and
+    _extension_count counts those subwords. Its memo is cleared when the
+    first letter changes, which bounds it by one first letter's classes.
+    """
+    left = list(counts)
+    total = sum(left)
+    if not total:
+        yield (), 1
+        return
+    k = len(left)
+    word: list[int] = []
+    sizes = [1]   # the count of each prefix of word
+    memo: dict[Word, int] = {}
+    c = 1
+    while True:
+        if c == k:
+            if not word:
+                return
+            c = word.pop()
+            sizes.pop()
+            left[c] += 1
+            c += 1
+            continue
+        if left[c]:
+            mask = commute[c]
+            for x in reversed(word):
+                if not mask >> x & 1 or x > c:
+                    break
+            else:
+                x = 0
+            if x < c or not mask >> x & 1:
+                size = sizes[-1]
+                free = mask
+                j = len(word) - 1
+                while free and j >= 0:
+                    x = word[j]
+                    if free >> x & 1:
+                        size += _extension_count(
+                            (*word[:j], *word[j + 1:], c), commute, memo)
+                    free &= commute[x]
+                    j -= 1
+                if len(word) + 1 == total:
+                    yield (*word, c), size
+                else:
+                    if not word:
+                        memo.clear()
+                    word.append(c)
+                    sizes.append(size)
+                    left[c] -= 1
+                    c = 1
+                    continue
+        c += 1
+
+
+def _extension_count(word: Word, commute: list[int],
+                     memo: dict[Word, int]) -> int:
+    """The size of the class of a word over the letters 1..k (commute as
+    for _normal_forms), counted from the end as there.
+
+    memo holds the counts of words with two free positions or more, and
+    calls with the same commute masks may share it. A word whose last
+    letter alone is free counts as its prefix and is neither copied nor
+    stored, so a long chain costs no memory; letters found missing from the
+    prefix are skipped from then on. An explicit stack replaces recursion:
+    a word whose subwords are not all counted is scanned again once they
+    are.
+    """
+    stack = [word]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+            continue
+        end = len(u)   # u counts as u[:end]
+        found: list[int] = []   # its free positions before the last
+        absent = 0   # letters known not to occur before end
+        while end > 1:
+            last = end - 1
+            free = commute[u[last]] & ~absent
+            j = last - 1
+            while free and j >= 0:
+                c = u[j]
+                if free >> c & 1:
+                    found.append(j)
+                free &= commute[c]
+                j -= 1
+            if found:
+                break
+            absent |= free   # what is left was not met before last
+            end = last
+        if not found:
+            memo[u] = 1
+            stack.pop()
+            continue
+        rest = u[:last]
+        total = 1 if last <= 1 else memo.get(rest)
+        pending = total is None
+        if pending:
+            stack.append(rest)
+            total = 0
+        for j in found:
+            v = u[:j] + u[j + 1:end]
+            n = 1 if last <= 1 else memo.get(v)
+            if n is None:
+                stack.append(v)
+                pending = True
+            else:
+                total += n
+        if not pending:
+            memo[u] = total
+            stack.pop()
+    return memo[word]
+
+
+def _partition(values: list[int], counts: list[int], steps: frozenset[int],
+               max_members: int) -> list[EquivalenceClass]:
+    """The orbits of the arrangements of values[i] taken counts[i] times
+    (values increasing), under the moves at letter differences in steps,
+    sorted by representative: the lexicographic normal forms, each with its
+    heap's extension count. Refused when the arrangements exceed the member
+    cap, before any word is formed. The search runs on the letters 1..k,
+    which stand for the values in order."""
+    total = sum(counts)
+    cap = _orbit_cap(total, max_members)
+    arrangements = math.factorial(total) // math.prod(
+        map(math.factorial, counts))
     if arrangements > cap:
         raise OrbitOverflowError(
             f"{arrangements} arrangements exceed {cap} members")
-    parent: dict[Word, Word] = {}
-    positions = range(length - 1)
-    for w in words:
-        parent[w] = root = w
-        for i in positions:
-            if w[i] - w[i + 1] in steps:
-                r = parent[w[:i] + (w[i + 1], w[i]) + w[i + 2:]]
-                while (p := parent[r]) is not r:
-                    parent[r] = r = parent[p]  # path halving
-                if r is not root:
-                    if r < root:
-                        root, r = r, root
-                    parent[r] = root
-    # in scan order every parent is settled on its root before its children
-    # come up, so members arrive sorted and classes by representative
-    members: dict[Word, list[Word]] = {}
-    for w, p in parent.items():
-        parent[w] = r = parent[p]
-        if r is w:
-            members[w] = [w]
-        else:
-            members[r].append(w)
-    # each map is freed as the member tuples are built, which keeps the
-    # process's peak memory down
-    parent.clear()
-    out = []
-    while members:
-        out.append(EquivalenceClass(tuple(members.popitem()[1])))
-    out.reverse()
-    return out
+    letters = [0, *values]
+    commute = [sum(1 << x for x, b in enumerate(letters)
+                   if x and abs(a - b) in steps) if c else 0
+               for c, a in enumerate(letters)]
+    relabel = letters != list(range(len(letters)))
+    return [EquivalenceClass(tuple(map(letters.__getitem__, u)) if relabel
+                             else u, size, steps)
+            for u, size in _normal_forms([0, *counts], commute)]
 
 
 def class_partition(n: int, relation: str = CONSECUTIVE,
                     max_members: int = DEFAULT_ORBIT_CAP
                     ) -> list[EquivalenceClass]:
     """All orbits of the relation on the permutations of [n], sorted by
-    representative, each with its members sorted; refused when the n!
-    permutations exceed the member cap."""
+    representative; refused when the n! permutations exceed the member
+    cap."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    return _scan_partition(itertools.permutations(range(1, n + 1)),
-                           _steps(relation, n), math.factorial(n), n,
-                           max_members)
+    return _partition(list(range(1, n + 1)), [1] * n, _steps(relation, n),
+                      max_members)
 
 
 def multiset_class_partition(spec: MultisetSpec,
                              max_members: int = DEFAULT_ORBIT_CAP
                              ) -> list[EquivalenceClass]:
-    """All consecutive-relation orbits on the arrangements of a multiset;
-    refused when the arrangements exceed the member cap."""
-    arrangements = math.factorial(spec.total) // math.prod(
-        math.factorial(r) for _, r in spec.counts)
-    return _scan_partition(spec.words(), _steps(CONSECUTIVE, spec.total),
-                           arrangements, spec.total, max_members)
+    """All consecutive-relation orbits on the arrangements of a multiset,
+    sorted by representative; refused when the arrangements exceed the
+    member cap."""
+    return _partition([v for v, _ in spec.counts],
+                      [r for _, r in spec.counts],
+                      _steps(CONSECUTIVE, spec.total), max_members)
 
 
 def _heap(w: Word) -> NaturalPoset:

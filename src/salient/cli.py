@@ -25,7 +25,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cap(text: str) -> int:
-    """A --limit value: a non-negative integer."""
+    """A --limit or --members-limit value: a non-negative integer."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"needs a non-negative integer, got {text!r}")
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--relation", default="consecutive",
                    help="consecutive or geq:J")
-    p.add_argument("--members-limit", type=int, default=1000)
+    p.add_argument("--members-limit", type=_cap, default=1000)
     add_limit(p, classes.DEFAULT_ORBIT_CAP, member_cap)
     add_format(p)
     p.set_defaults(func=cmd_classes)
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multiset", help="classes of a multiset")
     p.add_argument("--spec", required=True, help='e.g. "1:2,2:1,3:2"')
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--members-limit", type=int, default=1000)
+    p.add_argument("--members-limit", type=_cap, default=1000)
     add_limit(p, None, member_cap)
     add_format(p)
     p.set_defaults(func=cmd_multiset)

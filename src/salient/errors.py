@@ -7,7 +7,8 @@ caller sets it. Its DEFAULT_* constant is the keyword default and, for the
 three guards behind the CLI's --limit, the value used without that flag.
 These keyword guards are the orbit member cap of classes.class_of,
 classes.class_partition and classes.multiset_class_partition (a partition
-checks its arrangement count against it; SALIENT_LIMIT_MB lowers it), the
+checks its arrangement count against it before its normal-form search, which
+bounds the classes it lists; SALIENT_LIMIT_MB lowers it), the
 brute-force n cap of classes.count_singletons, and the size caps of
 NaturalPoset.extension_count (on the CLI) and NaturalPoset.descent_vector.
 Every other guard is a fixed module constant: posets.ISO_SIZE (the canonical

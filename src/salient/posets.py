@@ -14,7 +14,6 @@ Conventions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 import json
 
@@ -503,32 +502,50 @@ class GradedPoset:
 # natural posets on [n]
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class NaturalPoset:
-    """Partial order on labels 1..n refining the integer order."""
+    """Partial order on labels 1..n refining the integer order. Immutable;
+    equal posets have equal n and down-sets."""
 
-    n: int
-    down: tuple[int, ...]
+    __slots__ = ("n", "down")
 
-    def __post_init__(self):
-        if self.n < 0 or len(self.down) != self.n:
+    def __init__(self, n: int, down: tuple[int, ...]):
+        if n < 0 or len(down) != n:
             raise DomainError("need one down-set mask per element")
-        for i, m in enumerate(self.down):
+        for i, m in enumerate(down):
             if m >> i:
                 raise DomainError(
                     f"element {i + 1} has a larger element below it")
             for j in _iter_bits(m):
-                if self.down[j] & ~m:
+                if down[j] & ~m:
                     raise DomainError("down-sets are not transitively closed")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "down", down)
 
     @classmethod
     def _closed(cls, n: int, down: tuple[int, ...]) -> "NaturalPoset":
         """Trusted constructor for down-sets that are natural and
-        transitively closed by construction: skips __post_init__'s check."""
+        transitively closed by construction: skips __init__'s check."""
         poset = object.__new__(cls)
         object.__setattr__(poset, "n", n)
         object.__setattr__(poset, "down", down)
         return poset
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NaturalPoset is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("NaturalPoset is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.down == other.down
+
+    def __hash__(self):
+        return hash((self.n, self.down))
+
+    def __reduce__(self):
+        return NaturalPoset._closed, (self.n, self.down)
 
     @classmethod
     def from_relations(cls, n: int, pairs) -> "NaturalPoset":

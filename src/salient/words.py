@@ -17,7 +17,6 @@ most 9 ("13254") and as comma-separated integers otherwise ("10,2,1").
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Container, Iterator
 
 from salient.errors import DomainError
@@ -198,19 +197,19 @@ def fibonacci(n: int) -> int:
 # multisets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class MultisetSpec:
     """A multiset {1^r1, ..., n^rn}, stored as sorted (value, count) pairs.
 
     Zero counts are dropped; gaps in the value support are allowed, e.g.
-    {1^2, 2, 4^2}. Serialized form: "1:2,2:1,3:2".
+    {1^2, 2, 4^2}. Serialized form: "1:2,2:1,3:2". Immutable; equal specs
+    have equal counts.
     """
 
-    counts: tuple[tuple[int, int], ...]
+    __slots__ = ("counts",)
 
-    def __post_init__(self):
+    def __init__(self, counts: tuple[tuple[int, int], ...]):
         seen = set()
-        for v, r in self.counts:
+        for v, r in counts:
             if not isinstance(v, int) or v < 1:
                 raise DomainError(f"multiset values must be >= 1, got {v!r}")
             if not isinstance(r, int) or r < 1:
@@ -218,8 +217,29 @@ class MultisetSpec:
             if v in seen:
                 raise DomainError(f"duplicate value {v}")
             seen.add(v)
-        if tuple(sorted(self.counts)) != self.counts:
+        if tuple(sorted(counts)) != counts:
             raise DomainError("counts must be sorted by value")
+        object.__setattr__(self, "counts", counts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MultisetSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("MultisetSpec is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.counts == other.counts
+
+    def __hash__(self):
+        return hash((self.counts,))
+
+    def __repr__(self):
+        return f"MultisetSpec(counts={self.counts!r})"
+
+    def __reduce__(self):
+        return MultisetSpec, (self.counts,)
 
     @classmethod
     def from_mapping(cls, mapping) -> "MultisetSpec":

@@ -1,5 +1,7 @@
 import itertools
 import math
+import pickle
+import random
 
 import pytest
 
@@ -205,13 +207,88 @@ def test_heap_paths_past_the_orbit_cap():
     assert class_size(rep) == class_size(w)
 
 
+def _scan_partition(words, steps):
+    """The partition's independent oracle: one union-find scan over the
+    words in lexicographic order. Each word is joined to every neighbour
+    one move away that is lexicographically smaller (a swap at i with
+    w_i - w_{i+1} in steps), which the scan has already met; each set's
+    root is its least word. Returns (representative, size, members) per
+    class, sorted, with the members sorted."""
+    parent = {}
+    for w in words:
+        parent[w] = root = w
+        for i in range(len(w) - 1):
+            if w[i] - w[i + 1] in steps:
+                r = parent[w[:i] + (w[i + 1], w[i]) + w[i + 2:]]
+                while parent[r] != r:
+                    parent[r] = r = parent[parent[r]]
+                if r != root:
+                    root, r = min(root, r), max(root, r)
+                    parent[r] = root
+    members = {}
+    for w in parent:
+        r = w
+        while parent[r] != r:
+            r = parent[r]
+        members.setdefault(r, []).append(w)
+    return [(r, len(ms), tuple(sorted(ms)))
+            for r, ms in sorted(members.items())]
+
+
+def _as_triples(partition):
+    return [(cls.representative, cls.size, cls.members) for cls in partition]
+
+
+def _random_gapped_specs(count, max_total, seed):
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        values = sorted(rng.sample(range(1, 9), rng.randint(1, 5)))
+        counts = [rng.randint(1, 3) for _ in values]
+        if sum(counts) <= max_total:
+            specs.append(MultisetSpec(tuple(zip(values, counts))))
+    return specs
+
+
+def test_partition_against_the_scan_on_permutations():
+    for n in range(9):
+        for relation in ("consecutive", "geq:2", "geq:3"):
+            steps = classes._steps(relation, n)
+            oracle = _scan_partition(
+                itertools.permutations(range(1, n + 1)), steps)
+            assert _as_triples(class_partition(n, relation)) == oracle
+
+
+def test_partition_against_the_scan_on_gapped_multisets():
+    for spec in _random_gapped_specs(80, 9, seed=24):
+        oracle = _scan_partition(spec.words(), frozenset({1}))
+        assert _as_triples(multiset_class_partition(spec)) == oracle, spec
+
+
+def test_partition_of_long_words():
+    # one arrangement of 5000 letters, a chain: no recursion, no quadratic
+    # copying
+    (cls,) = multiset_class_partition(MultisetSpec.parse("1:5000"))
+    assert (cls.representative, cls.size) == ((1,) * 5000, 1)
+    # one letter that commutes with every other: a class of every
+    # arrangement
+    (cls,) = multiset_class_partition(MultisetSpec.parse("1:1,2:1500"))
+    assert (cls.representative, cls.size) == ((1,) + (2,) * 1500, 1501)
+    # letters that never commute: every arrangement is its own class
+    partition = multiset_class_partition(MultisetSpec.parse("1:1,3:600"))
+    assert [cls.size for cls in partition] == [1] * 601
+    assert partition[-1].representative == (3,) * 600 + (1,)
+
+
 def _assert_scan_matches_bfs(partition, arrangements, relation):
-    # the scan's classes against breadth-first closures, order included
+    # the classes against breadth-first closures, order included
     reps = [cls.representative for cls in partition]
     assert reps == sorted(reps)
     assert sum(cls.size for cls in partition) == arrangements
     for cls in partition:
-        assert class_of(cls.representative, relation) == cls
+        orbit = class_of(cls.representative, relation)
+        assert cls.members == orbit.members
+        assert cls == orbit and hash(cls) == hash(orbit)
 
 
 def test_scan_partition_against_bfs_on_permutations():
@@ -233,6 +310,27 @@ def test_scan_partition_against_bfs_on_multisets():
             arrangements //= math.factorial(r)
         _assert_scan_matches_bfs(multiset_class_partition(spec),
                                  arrangements, "consecutive")
+
+
+def test_classes_compare_by_members():
+    partition = class_partition(4)
+    cls = partition[1]
+    assert cls.representative == (1, 3, 4, 2) and cls.size == 3
+    assert cls.members == ((1, 3, 4, 2), (1, 4, 2, 3), (1, 4, 3, 2))
+    assert (1, 4, 2, 3) in cls and [1, 4, 3, 2] in cls
+    assert (1, 2, 3, 4) not in cls
+    # the same orbit, reached from another member
+    assert class_of((1, 4, 3, 2)) == cls
+    assert len({cls, class_of((1, 4, 2, 3)), *partition}) == 8
+    # one orbit under two relations: equal, as the members are
+    assert class_of((1,)) == class_of((1,), "geq:2")
+    assert class_of((2, 1)) != class_of((2, 1), "geq:2")
+    assert cls != cls.members
+    assert repr(cls) == "EquivalenceClass(representative=(1, 3, 4, 2), size=3)"
+    with pytest.raises(AttributeError):
+        cls.size = 4
+    copied = pickle.loads(pickle.dumps(cls))
+    assert copied == cls and copied.members == cls.members
 
 
 def test_class_size_examples():

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import salient
 from salient import cli, posets
 
 
@@ -372,6 +376,10 @@ NOT_A_CAP = "argument --limit: needs a non-negative integer, got '-1'"
     ("singletons --n 3 --limit -1", None, NOT_A_CAP),
     ("multiset --spec 1:2,2:1 --limit -1", None, NOT_A_CAP),
     ("poset extensions --qn 3 --limit -1", None, NOT_A_CAP),
+    ("classes --n 3 --members-limit -1", None,
+     NOT_A_CAP.replace("--limit", "--members-limit")),
+    ("multiset --spec 1:2,2:1 --members-limit -1", None,
+     NOT_A_CAP.replace("--limit", "--members-limit")),
     ("classes --n 3", "-1",
      "SALIENT_LIMIT_MB must be a non-negative integer, got '-1'"),
 ])
@@ -383,3 +391,14 @@ def test_negative_limits_exit_1(capsys, monkeypatch, argv, limit_mb,
     assert (code, out) == (1, "")
     # argparse prints the usage before its own message
     assert err.endswith(f"error: {expected}\n")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # both cost more to import than the whole CLI layer
+    src = os.path.dirname(os.path.dirname(salient.__file__))
+    code = ("import sys, salient.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -98,7 +98,8 @@ def test_generated_mf_posets_pairwise_non_isomorphic():
         assert len(keys) == count
 
 
-def test_generated_mf_posets_complete_against_the_graded_sweep():
+def test_generated_mf_posets_complete_against_the_graded_sweep(
+        shared_iso_sweep):
     # the independent sweep lists every bounded graded poset of at most 10
     # elements up to isomorphism; the family is its two-per-rank part
     swept = all_bounded_graded_posets(9, 10)

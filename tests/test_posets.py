@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import pickle
 import random
 
 import pytest
@@ -350,6 +351,19 @@ def test_natural_poset_validation():
     assert q.less(1, 4)
     assert q.relations() == [(1, 2), (1, 4), (2, 4)]
     assert q.cover_pairs() == [(1, 2), (2, 4)]
+
+
+def test_natural_poset_is_an_immutable_value():
+    q = NaturalPoset.from_relations(3, [(1, 3)])
+    same = NaturalPoset(3, (0, 0, 0b1))
+    assert q == same and hash(q) == hash(same)
+    assert q != NaturalPoset.antichain(3) and q != (3, (0, 0, 1))
+    assert repr(q) == "NaturalPoset(n=3, relations=[(1, 3)])"
+    with pytest.raises(AttributeError):
+        q.n = 4
+    with pytest.raises(AttributeError):
+        del q.down
+    assert pickle.loads(pickle.dumps(q)) == q
 
 
 def test_from_relations_output_passes_the_public_check():
@@ -835,7 +849,7 @@ def test_iso_sweep_guards():
         all_posets_up_to_iso(-1)
 
 
-def test_iso_sweep_n8_and_distributive_count():
+def test_iso_sweep_n8_and_distributive_count(shared_iso_sweep):
     reps = all_posets_up_to_iso(8)
     assert len(reps) == 16999  # A000112
     two_ideals = sum(all(c <= 2 for c in q.ideal_size_profile())

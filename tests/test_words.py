@@ -1,5 +1,6 @@
 import doctest
 import itertools
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -154,6 +155,19 @@ def test_multiset_spec():
             MultisetSpec(counts)
     gapped = MultisetSpec.parse("1:2,4:1")
     assert gapped.caps_vector() == (2, 0, 1)
+
+
+def test_multiset_spec_is_an_immutable_value():
+    spec = MultisetSpec.parse("1:2,4:1")
+    same = MultisetSpec(((1, 2), (4, 1)))
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != MultisetSpec.parse("1:2") and spec != spec.counts
+    assert repr(spec) == "MultisetSpec(counts=((1, 2), (4, 1)))"
+    with pytest.raises(AttributeError):
+        spec.counts = ()
+    with pytest.raises(AttributeError):
+        del spec.counts
+    assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 @settings(max_examples=60, deadline=None, database=None)
