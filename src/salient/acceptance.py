@@ -9,6 +9,7 @@ these functions, so CI and an interactive reader exercise the same checks.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -60,13 +61,16 @@ def check_salient_canonical() -> str:
 
 
 def check_fibonacci_sizes() -> str:
-    """Fibonacci product sizes match breadth-first sizes everywhere."""
+    """The paper's product of F(l+1) over segments of length l matches the
+    breadth-first sizes, the partition's sizes and the heap's count."""
     for n in range(8):
         for cls in classes.class_partition(n):
             members = cls.members   # listed breadth-first
             _check(len(members) == cls.size, cls.representative)
             for w in members:
-                _check(classes.class_size(w) == cls.size, w)
+                product = math.prod(words.fibonacci(len(s) + 1) for s in
+                                    classes.segment_decomposition(w))
+                _check(product == cls.size == classes.class_size(w), w)
     for n in range(13):
         _check(classes.class_size(words.identity(n))
                == words.fibonacci(n + 1))

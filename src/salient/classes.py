@@ -1,32 +1,37 @@
-"""Orbits of the interchange relations, canonical representatives, Fibonacci
-class sizes, and the class-counting formulas and series.
+"""Orbits of the interchange relations, canonical representatives, class
+sizes, and the class-counting formulas and series.
 
-The relations are trace equivalences, so a class is a connected component of
-the move graph; a relation is the set of letter differences at which adjacent
-letters swap. A partition lists each class's least word, its lexicographic
-normal form, by a depth-first search that visits no other word, with the
-class's size counted off the word's heap as the search goes. A class's
-members are listed only when read, by the breadth-first closure that class_of
-runs on a single class; tests/test_classes.py keeps a union-find scan over
-every word as the partition's oracle. Member order is lexicographic. Sizes,
-minima and segments of single words are read off the heap poset too. The
-orbit memory guard is a member cap (default 10**7) and, when SALIENT_LIMIT_MB
-is set, a byte budget. A partition checks its arrangement count against it
-before the search; class_of checks the heap's class size (consecutive
-relation) before its closure and the visited set as it grows.
+A relation is its set S of letter differences: adjacent letters a and b swap
+when |a - b| is in S, which is {1} for the consecutive relation and every
+difference >= J for geq:J (parse_relation returns S). The relations are trace
+equivalences on words of distinct or repeated letters, so a class is a
+connected component of the move graph and the set of linear extensions of
+the word's heap; every path below takes S alone. A partition lists each
+class's least word, its lexicographic normal form, by a depth-first search
+that visits no other word, with the class's size counted off the word's heap
+as the search goes. A class's members are listed only when read, by the
+breadth-first closure that class_of runs on a single class;
+tests/test_classes.py keeps a union-find scan over every word as the
+partition's oracle. Member order is lexicographic. Sizes, minima and
+segments of single words are read off the heap poset too. The orbit memory
+guard is a member cap (default 10**7) and, when SALIENT_LIMIT_MB is set, a
+byte budget. A partition checks its arrangement count against it before the
+search, class_size checks the heap's order ideals against it, and class_of
+checks the class size against it before its closure.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import os
-from typing import Iterator
+import sys
+from typing import Container, Iterator
 
 from salient import series
 from salient.errors import DomainError, GuardExceeded, OrbitOverflowError
 from salient.posets import NaturalPoset
-from salient.words import (MultisetSpec, Word, check_permutation, check_word,
-                           fibonacci, _is_salient, _neighbours)
+from salient.words import (MultisetSpec, Word, check_word, _is_salient,
+                           _neighbours)
 
 CONSECUTIVE = "consecutive"
 DEFAULT_ORBIT_CAP = 10_000_000
@@ -43,7 +48,7 @@ class EquivalenceClass:
     __slots__ = ("_representative", "_size", "_steps", "_members")
 
     def __init__(self, representative: Word, size: int,
-                 steps: frozenset[int],
+                 steps: Container[int],
                  members: tuple[Word, ...] | None = None):
         self._representative = representative
         self._size = size
@@ -85,10 +90,11 @@ class EquivalenceClass:
                 f"size={self._size})")
 
 
-def parse_relation(relation: str) -> tuple[str, int | None]:
-    """Normalize a relation name: "consecutive" or "geq:J" with J >= 2."""
+def parse_relation(relation: str) -> Container[int]:
+    """The letter differences at which a relation swaps adjacent letters:
+    {1} for "consecutive", every difference >= J for "geq:J" (J >= 2)."""
     if relation == CONSECUTIVE:
-        return CONSECUTIVE, None
+        return frozenset({1})
     if relation.startswith("geq:"):
         try:
             j = int(relation[4:])
@@ -96,15 +102,8 @@ def parse_relation(relation: str) -> tuple[str, int | None]:
             raise DomainError(f"bad relation {relation!r}") from None
         if j < 2:
             raise DomainError("geq relation needs j >= 2")
-        return "geq", j
+        return range(j, sys.maxsize)
     raise DomainError(f"unknown relation {relation!r}")
-
-
-def _steps(relation: str, n: int) -> frozenset[int]:
-    """Letter differences |a - b| at which the relation swaps an adjacent
-    pair in a word of length n (a permutation, for the geq relations)."""
-    kind, j = parse_relation(relation)
-    return frozenset({1} if kind == CONSECUTIVE else range(j, n))
 
 
 def _orbit_cap(word_length: int, cap: int) -> int:
@@ -125,32 +124,22 @@ def _orbit_cap(word_length: int, cap: int) -> int:
 
 def class_of(word, relation: str = CONSECUTIVE,
              max_members: int = DEFAULT_ORBIT_CAP) -> EquivalenceClass:
-    """Breadth-first closure of a word under the relation's moves.
-
-    Multiset words are only meaningful for the consecutive relation; the
-    geq relations require a permutation. For the consecutive relation the
-    class size is read off the heap first, so an orbit over the member cap
-    raises before the search starts, and the search stops at that size;
-    otherwise it stops one word past the cap, and raises.
+    """Breadth-first closure of a word, of distinct or repeated letters,
+    under the swaps at the relation's letter differences. The class size
+    is read off the heap first (class_size), so an orbit over the member
+    cap raises before the search starts, and the search stops at that size.
     """
-    kind, _ = parse_relation(relation)
-    w = check_word(word) if kind == CONSECUTIVE else check_permutation(word)
-    steps = _steps(relation, len(w))
+    steps = parse_relation(relation)
+    w = check_word(word)
     cap = _orbit_cap(len(w), max_members)
-    if kind == CONSECUTIVE:
-        limit = class_size(w)
-        if limit > cap:
-            raise OrbitOverflowError(f"orbit of {w} exceeds {cap} members")
-    else:
-        limit = cap + 1
-    seen = _closure(w, steps, limit)
-    if len(seen) > cap:
+    size = class_size(w, relation, cap)
+    if size > cap:
         raise OrbitOverflowError(f"orbit of {w} exceeds {cap} members")
-    members = tuple(sorted(seen))
-    return EquivalenceClass(members[0], len(members), steps, members)
+    members = tuple(sorted(_closure(w, steps, size)))
+    return EquivalenceClass(members[0], size, steps, members)
 
 
-def _closure(w: Word, steps: frozenset[int], limit: int) -> set[Word]:
+def _closure(w: Word, steps: Container[int], limit: int) -> set[Word]:
     """The words that the moves at letter differences in steps reach from
     w, by breadth-first search, which stops once it holds limit words."""
     seen = {w}
@@ -302,7 +291,7 @@ def _extension_count(word: Word, commute: list[int],
     return memo[word]
 
 
-def _partition(values: list[int], counts: list[int], steps: frozenset[int],
+def _partition(values: list[int], counts: list[int], steps: Container[int],
                max_members: int) -> list[EquivalenceClass]:
     """The orbits of the arrangements of values[i] taken counts[i] times
     (values increasing), under the moves at letter differences in steps,
@@ -335,8 +324,8 @@ def class_partition(n: int, relation: str = CONSECUTIVE,
     cap."""
     if n < 0:
         raise DomainError("n must be >= 0")
-    return _partition(list(range(1, n + 1)), [1] * n, _steps(relation, n),
-                      max_members)
+    return _partition(list(range(1, n + 1)), [1] * n,
+                      parse_relation(relation), max_members)
 
 
 def multiset_class_partition(spec: MultisetSpec,
@@ -347,18 +336,19 @@ def multiset_class_partition(spec: MultisetSpec,
     member cap."""
     return _partition([v for v, _ in spec.counts],
                       [r for _, r in spec.counts],
-                      _steps(CONSECUTIVE, spec.total), max_members)
+                      parse_relation(CONSECUTIVE), max_members)
 
 
-def _heap(w: Word) -> NaturalPoset:
-    """Position j lies above each earlier i with |w_i - w_j| != 1, closed
-    transitively; equal letters are thus chained. Read as letters, the
-    linear extensions are exactly the class of w (Cartier-Foata; Viennot)."""
+def _heap(w: Word, steps: Container[int]) -> NaturalPoset:
+    """Position j lies above each earlier i whose letter differs from w_j by
+    no amount in steps, closed transitively; equal letters are thus chained.
+    Read as letters, the linear extensions are exactly the class of w under
+    the moves at those differences (Cartier-Foata; Viennot)."""
     down: list[int] = []
     for j, b in enumerate(w):
         d = 0
         for i in range(j):
-            if abs(w[i] - b) != 1:
+            if abs(w[i] - b) not in steps:
                 d |= 1 << i | down[i]
         down.append(d)
     return NaturalPoset._closed(len(w), tuple(down))
@@ -370,7 +360,7 @@ def salient_representative(word) -> Word:
     smallest letter. Free positions are an antichain, whose letters differ
     pairwise by exactly one, so at most two are free and they never tie."""
     w = check_word(word)
-    down = _heap(w).down
+    down = _heap(w, {1}).down
     placed = 0
     out = []
     for _ in w:
@@ -395,7 +385,7 @@ def segment_decomposition(word) -> tuple[Word, ...]:
     w = check_word(word)
     if len(set(w)) != len(w):
         raise DomainError("segment decomposition needs distinct letters")
-    down = _heap(w).down
+    down = _heap(w, {1}).down
     segments: list[Word] = []
     stop, common = len(w), -1
     for k in range(len(w) - 1, -1, -1):
@@ -410,15 +400,21 @@ def segment_decomposition(word) -> tuple[Word, ...]:
     return tuple(reversed(segments))
 
 
-def class_size(word) -> int:
-    """Size of the word's class, without listing it: the product of F(m+1)
-    over segments of length m or, with a repeated letter, the heap's
-    linear-extension count (its antichains have at most two positions, so it
-    has O(len(w)^2) order ideals and needs no guard)."""
+def class_size(word, relation: str = CONSECUTIVE,
+               max_members: int = DEFAULT_ORBIT_CAP) -> int:
+    """Size of the word's class under the relation, without listing it: the
+    number of linear extensions of its heap, counted over the heap's order
+    ideals. Refused when the ideals exceed the member cap; a consecutive
+    heap has antichains of at most two positions, so at most
+    (len(w)/2 + 1)^2 ideals."""
+    steps = parse_relation(relation)
     w = check_word(word)
-    if len(set(w)) != len(w):
-        return _heap(w).extension_count(max_size=len(w))
-    return math.prod(fibonacci(len(s) + 1) for s in segment_decomposition(w))
+    cap = _orbit_cap(len(w), max_members)
+    try:
+        return _heap(w, steps)._extension_count(cap)
+    except GuardExceeded:
+        raise OrbitOverflowError(
+            f"heap of {w} has more than {cap} order ideals") from None
 
 
 # ---------------------------------------------------------------------------

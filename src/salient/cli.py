@@ -94,12 +94,7 @@ def cmd_count(args) -> int:
 def cmd_class(args) -> int:
     word = words.parse_word(args.word)
     if args.size_only:
-        kind, _ = classes.parse_relation(args.relation)
-        if kind == classes.CONSECUTIVE:
-            print(classes.class_size(word))
-        else:
-            print(classes.class_of(word, args.relation,
-                                   max_members=args.limit).size)
+        print(classes.class_size(word, args.relation, max_members=args.limit))
         return 0
     cls = classes.class_of(word, args.relation, max_members=args.limit)
     if args.format == "json":
@@ -252,11 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     member_cap = ("orbit member cap, in words "
                   f"(default {classes.DEFAULT_ORBIT_CAP})")
+    relation_help = ("consecutive (swap adjacent letters differing by 1) or "
+                     "geq:J (differing by J or more, J >= 2)")
 
     p = sub.add_parser("classes", help="orbits of the relation on [n]")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--relation", default="consecutive",
-                   help="consecutive or geq:J")
+    p.add_argument("--relation", default="consecutive", help=relation_help)
     p.add_argument("--members-limit", type=_cap, default=1000)
     add_limit(p, classes.DEFAULT_ORBIT_CAP, member_cap)
     add_format(p)
@@ -271,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("class", help="the class of one word")
     p.add_argument("--word", required=True)
-    p.add_argument("--relation", default="consecutive")
+    p.add_argument("--relation", default="consecutive", help=relation_help)
     p.add_argument("--size-only", action="store_true")
     add_limit(p, classes.DEFAULT_ORBIT_CAP, member_cap)
     add_format(p)

@@ -6,9 +6,11 @@ that pays the cost it bounds. A guard is a keyword argument only where a
 caller sets it. Its DEFAULT_* constant is the keyword default and, for the
 three guards behind the CLI's --limit, the value used without that flag.
 These keyword guards are the orbit member cap of classes.class_of,
-classes.class_partition and classes.multiset_class_partition (a partition
-checks its arrangement count against it before its normal-form search, which
-bounds the classes it lists; SALIENT_LIMIT_MB lowers it), the
+classes.class_size, classes.class_partition and
+classes.multiset_class_partition (class_size checks the order ideals of the
+word's heap against it, class_of the class size, and a partition its
+arrangement count before its normal-form search, which bounds the classes it
+lists; SALIENT_LIMIT_MB lowers it), the
 brute-force n cap of classes.count_singletons, and the size caps of
 NaturalPoset.extension_count (on the CLI) and NaturalPoset.descent_vector.
 Every other guard is a fixed module constant: posets.ISO_SIZE (the canonical
@@ -39,7 +41,8 @@ class GuardExceeded(SalientError):
 
 
 class OrbitOverflowError(GuardExceeded):
-    """A breadth-first orbit closure grew past its member cap."""
+    """An orbit, or the heap ideals or arrangements that bound it, exceeds
+    the member cap."""
 
 
 class InternalConsistencyError(SalientError):

@@ -254,6 +254,9 @@ class GradedPoset:
     def __setattr__(self, name, value):
         raise AttributeError("GradedPoset is immutable")
 
+    def __reduce__(self):
+        return GradedPoset, (self.ranks, self.covers, self.labels)
+
     # -- basic structure
 
     @property
@@ -678,20 +681,36 @@ class NaturalPoset:
     def extension_count(self,
                         max_size: int = DEFAULT_EXTENSION_COUNT_SIZE) -> int:
         """Number of linear extensions, by dynamic programming over ideals:
-        each ideal passes its count on to every ideal one free element
-        larger."""
+        an ideal's count is the sum of the counts of the ideals one maximal
+        element smaller."""
         if self.n > max_size:
             raise GuardExceeded(
                 f"extension counting limited to {max_size} elements")
-        # order_ideals lists each ideal after all of its sub-ideals, so an
-        # ideal's count is complete before it is pushed to its covers
-        counts = dict.fromkeys(_pykernels.order_ideals(self.down), 0)
-        counts[0] = 1
-        steps = [(1 << i, d) for i, d in enumerate(self.down)]
-        for ideal, count in counts.items():
-            for bit, d in steps:
-                if not (ideal & bit or d & ~ideal):
-                    counts[ideal | bit] += count
+        return self._extension_count()
+
+    def _extension_count(self, max_ideals: int | None = None) -> int:
+        """extension_count's dynamic programming, guarded by the number of
+        order ideals instead of elements: GuardExceeded once there are more
+        than max_ideals of them.
+
+        The maximal elements of an ideal are its largest element i and
+        those of the ideal without i that are not below i. order_ideals
+        lists each ideal after all of its sub-ideals, so both that ideal
+        and the ones to sum are counted before it, and an ideal costs one
+        step per maximal element."""
+        down = self.down
+        counts = {0: 1}
+        maximal = {0: 0}
+        for ideal in _pykernels.order_ideals(down, max_ideals)[1:]:
+            i = ideal.bit_length() - 1
+            top = maximal[ideal ^ 1 << i] & ~down[i] | 1 << i
+            maximal[ideal] = top
+            count = 0
+            while top:
+                low = top & -top
+                count += counts[ideal ^ low]
+                top ^= low
+            counts[ideal] = count
         return counts[(1 << self.n) - 1]
 
     def descent_vector(self, max_size: int = DEFAULT_DESCENT_SIZE) -> list[int]:

@@ -82,6 +82,9 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def __reduce__(self):
+        return TruncatedSeries, (self.variables, self.caps, self.coeffs)
+
     @classmethod
     def _trusted(cls, variables, caps, coeffs) -> "TruncatedSeries":
         """Wrap coefficients that are already normalized, nonzero and inside

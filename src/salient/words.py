@@ -6,11 +6,13 @@ words repeat letters according to a MultisetSpec. Words compare
 lexicographically by their letter sequence, and that order is the tie-breaker
 everywhere ("lexicographically least member", canonical representatives).
 
-Two families of moves act on words:
+A relation is its set of letter differences: its moves swap adjacent letters
+whose values differ by an amount in that set. Two families of relations act
+on words, of distinct or repeated letters alike:
 
 * consecutive moves swap adjacent letters whose values differ by exactly one,
-* geq-j moves (permutations only, j >= 2) swap adjacent letters whose values
-  differ by at least j.
+* geq-j moves (j >= 2) swap adjacent letters whose values differ by at least
+  j.
 
 Serialization: a word prints as a plain digit string when every letter is at
 most 9 ("13254") and as comma-separated integers otherwise ("10,2,1").

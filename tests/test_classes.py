@@ -43,9 +43,10 @@ def test_relation_validation():
     with pytest.raises(DomainError):
         class_of((1, 2), "geq:1")
     with pytest.raises(DomainError):
-        class_of((1, 1, 2), "geq:2")
-    with pytest.raises(DomainError):
         class_of((1, 2), "frobnicate")
+    # a relation is its set of letter differences, so multiset words run
+    # under geq too; here no two letters differ by two
+    assert class_of((1, 1, 2), "geq:2").members == ((1, 1, 2),)
     with pytest.raises(DomainError, match="^bad relation 'geq:x'$"):
         parse_relation("geq:x")
 
@@ -64,10 +65,12 @@ def test_class_of_checks_the_heap_size_before_searching(monkeypatch):
     with pytest.raises(OrbitOverflowError):
         class_of(identity(40), max_members=10 ** 6)
     assert expanded == []
-    # the geq relations have no heap size and keep the in-loop cap
-    with pytest.raises(OrbitOverflowError):
+    # every relation reads its size off the heap: a geq class over the cap
+    # is refused before any word is expanded too
+    with pytest.raises(OrbitOverflowError,
+                       match=r"^orbit of \(1, 3, 5, .*\) exceeds 100 members$"):
         class_of((1, 3, 5, 7, 9, 2, 4, 6, 8), "geq:2", max_members=100)
-    assert len(expanded) > 0
+    assert expanded == []
 
 
 def test_env_memory_cap(monkeypatch):
@@ -194,9 +197,67 @@ def test_heap_paths_on_multisets_against_bfs():
 def test_heap_passes_the_public_poset_check():
     words = [(1, 1, 2, 3, 2, 4), (2, 1, 2, 1), (3, 3, 1, 2, 2)]
     words += list(itertools.permutations(range(1, 7)))
+    for relation in ("consecutive", "geq:2", "geq:3"):
+        steps = parse_relation(relation)
+        for w in words:
+            heap = classes._heap(w, steps)
+            assert NaturalPoset(heap.n, heap.down) == heap
+
+
+def _bfs_orbits(words, j):
+    """Each word's orbit under swaps of adjacent letters differing by j or
+    more, by a search of its own: a dict from word to orbit."""
+    orbit_of = {}
     for w in words:
-        heap = classes._heap(w)
-        assert NaturalPoset(heap.n, heap.down) == heap
+        if w in orbit_of:
+            continue
+        orbit = {w}
+        frontier = [w]
+        while frontier:
+            u = frontier.pop()
+            for i in range(len(u) - 1):
+                if abs(u[i] - u[i + 1]) >= j:
+                    v = u[:i] + (u[i + 1], u[i]) + u[i + 2:]
+                    if v not in orbit:
+                        orbit.add(v)
+                        frontier.append(v)
+        orbit = frozenset(orbit)
+        orbit_of.update(dict.fromkeys(orbit, orbit))
+    return orbit_of
+
+
+def _assert_geq_sizes(words, j):
+    relation = f"geq:{j}"
+    for w, orbit in _bfs_orbits(words, j).items():
+        assert class_size(w, relation) == len(orbit), (w, relation)
+        cls = class_of(w, relation)
+        assert cls.size == len(orbit) and set(cls.members) == orbit
+
+
+def test_geq_class_sizes_against_bfs_on_permutations():
+    for j in (2, 3):
+        for n in range(8):
+            _assert_geq_sizes(itertools.permutations(range(1, n + 1)), j)
+
+
+def test_geq_class_sizes_against_bfs_on_multisets():
+    for counts in itertools.product(range(4), repeat=4):
+        if sum(counts) <= 7:
+            spec = MultisetSpec.from_mapping(dict(enumerate(counts, start=1)))
+            _assert_geq_sizes(spec.words(), 2)
+
+
+def test_class_size_guards_the_heaps_ideals():
+    # 2584 order ideals, and a class of 19391512145 words
+    w = (*range(1, 16, 2), *range(2, 17, 2))
+    assert class_size(w, "geq:2") == 19391512145
+    with pytest.raises(OrbitOverflowError,
+                       match=r"^heap of \(1, 3, .*\) has more than 2583 "
+                             "order ideals$"):
+        class_size(w, "geq:2", max_members=2583)
+    assert class_size(w, "geq:2", max_members=2584) == 19391512145
+    with pytest.raises(DomainError, match="^member cap must be >= 0"):
+        class_size(w, max_members=-1)
 
 
 def test_heap_paths_past_the_orbit_cap():
@@ -253,7 +314,7 @@ def _random_gapped_specs(count, max_total, seed):
 def test_partition_against_the_scan_on_permutations():
     for n in range(9):
         for relation in ("consecutive", "geq:2", "geq:3"):
-            steps = classes._steps(relation, n)
+            steps = parse_relation(relation)
             oracle = _scan_partition(
                 itertools.permutations(range(1, n + 1)), steps)
             assert _as_triples(class_partition(n, relation)) == oracle

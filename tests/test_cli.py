@@ -45,6 +45,22 @@ def test_multiset_words_take_the_heap_paths(capsys):
     assert code == 0 and len(out.split()) == 4
 
 
+def test_geq_classes_are_sized_off_the_heap(capsys):
+    word = "1,3,5,7,9,11,13,15,2,4,6,8,10,12,14,16"
+    code, out, err = run(capsys, "class", "--word", word,
+                         "--relation", "geq:2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: orbit of (1, 3, 5,")
+    assert err.endswith(" exceeds 10000000 members\n")
+    code, out, _ = run(capsys, "class", "--word", word, "--relation", "geq:2",
+                       "--size-only")
+    assert code == 0 and out == "19391512145\n"
+    code, out, _ = run(capsys, "class", "--word", "1123", "--relation",
+                       "geq:2", "--format", "json")
+    assert code == 0 and json.loads(out) == {
+        "representative": "1123", "size": 1, "members": ["1123"]}
+
+
 def test_class_members_json(capsys):
     code, out, _ = run(capsys, "class", "--word", "321", "--format", "json")
     assert code == 0

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import operator
@@ -364,6 +365,17 @@ def test_natural_poset_is_an_immutable_value():
     with pytest.raises(AttributeError):
         del q.down
     assert pickle.loads(pickle.dumps(q)) == q
+
+
+def test_graded_poset_pickles_and_copies_through_its_constructor():
+    lattice = lattice_from_gamma("01")
+    beta = lattice.flag_beta_vector()   # fills the caches
+    labelled = GradedPoset((0, 1), [(0, 1)], labels=["bottom", "top"])
+    for poset in (lattice, labelled, GradedPoset.chain(2)):
+        for twin in (pickle.loads(pickle.dumps(poset)), copy.copy(poset),
+                     copy.deepcopy(poset)):
+            assert twin == poset and twin is not poset
+    assert pickle.loads(pickle.dumps(lattice)).flag_beta_vector() == beta
 
 
 def test_from_relations_output_passes_the_public_check():

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -72,6 +74,16 @@ def test_inverse_output_passes_the_validating_constructor(s):
 def test_cf_series_passes_the_validating_constructor():
     big = cf_series(4, (5, 5, 5, 5))
     assert TruncatedSeries(big.variables, big.caps, big.coeffs) == big
+
+
+def test_series_pickles_and_copies_through_its_constructor():
+    one = TruncatedSeries.constant(1, ("x",), (3,))
+    shifted = cf_series(3, (1, 2, 1)) + Fraction(1, 3)
+    for s in (one, shifted):
+        for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s),
+                     copy.deepcopy(s)):
+            assert twin == s and twin is not s
+            assert twin.coeffs is not s.coeffs
 
 
 def test_series_validation():
