@@ -100,6 +100,9 @@ def descent_vector(n: int, down) -> list[int]:
                 walk(ideal, e, dmask, nxt)
 
     walk(0, -1, 0, 1)
+    # walk holds itself through its cell: clear it, or out and free wait
+    # for the cyclic collector
+    del walk
     return out[::2]
 
 

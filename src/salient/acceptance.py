@@ -105,20 +105,25 @@ def check_geq_relation() -> str:
 
 
 def check_multiset_cf() -> str:
-    """Series coefficients equal orbit counts on every small multiset."""
+    """Domino-sum counts, series coefficients and orbit counts agree on every
+    small multiset."""
     specs = 0
     for counts in itertools.product(range(9), repeat=5):
         if sum(counts) > 8:
             continue
         spec = words.MultisetSpec.from_mapping(
             {v + 1: r for v, r in enumerate(counts)})
+        count = series.multiset_count_cf(spec)
+        coefficient = series.cf_series(5, counts).coefficient(counts)
         partition = classes.multiset_class_partition(spec)
-        _check(series.multiset_count_cf(spec) == len(partition), spec)
+        _check(count == coefficient == len(partition),
+               (spec, count, coefficient, len(partition)))
         specs += 1
     spec = words.MultisetSpec.parse("1:2,2:1,3:2")
     partition = classes.multiset_class_partition(spec)
     _check(len(partition) == 6 and all(c.size == 5 for c in partition))
-    return f"{specs} multisets cross-checked; {{1^2,2,3^2}} gives 6 classes of 5"
+    return (f"{specs} multisets: domino sum = series coefficient = orbit "
+            "count; {1^2,2,3^2} gives 6 classes of 5")
 
 
 def check_f4_closed_form() -> str:

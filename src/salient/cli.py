@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from salient import acceptance, classes, mfenum, posets, series, words
@@ -127,8 +128,8 @@ def cmd_multiset(args) -> int:
         if args.limit is not None:
             raise DomainError(
                 "--limit does not apply to --count-only (the count is "
-                f"guarded by its exponent box, at most {series.CF_BOX_CAP} "
-                "entries)")
+                f"guarded by its domino sum, at most {series.DOMINO_CAP} "
+                f"transitions and {math.isqrt(series.DOMINO_CAP)} letters)")
         print(series.multiset_count_cf(spec))
         return 0
     limit = classes.DEFAULT_ORBIT_CAP if args.limit is None else args.limit
@@ -286,7 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multiset", help="classes of a multiset")
     p.add_argument("--spec", required=True, help='e.g. "1:2,2:1,3:2"')
-    p.add_argument("--count-only", action="store_true")
+    p.add_argument("--count-only", action="store_true",
+                   help="print the class count from the domino sum, "
+                        "with no member cap: refused past "
+                        f"{series.DOMINO_CAP} transitions or "
+                        f"{math.isqrt(series.DOMINO_CAP)} letters")
     p.add_argument("--members-limit", type=_cap, default=1000)
     add_limit(p, None, member_cap)
     add_format(p)
@@ -339,6 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # exact counts may run past the interpreter's cap on the digits that
+    # int-to-str conversion prints
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -348,6 +358,9 @@ def main(argv=None) -> int:
     except (SalientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

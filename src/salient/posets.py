@@ -199,6 +199,7 @@ def canonical_relation_key(n: int, below) -> tuple:
         return improved
 
     search(0, [0] * n, False)
+    del search  # it holds itself through its cell; free it now
     return (n, tuple(color_seq), tuple(best))
 
 
@@ -676,6 +677,7 @@ class NaturalPoset:
                 placed ^= bit
 
         rec()
+        del rec  # it holds itself through its cell; free it now
         return out
 
     def extension_count(self,
@@ -935,8 +937,10 @@ def _iso_sweep(max_n: int):
         if size:
             grown: dict[tuple, NaturalPoset] = {}
             for rep in reps:
+                # a new top-labelled element over an order ideal keeps the
+                # down-sets natural and closed
                 for d in _pykernels.order_ideals(rep.down):
-                    child = NaturalPoset(size, rep.down + (d,))
+                    child = NaturalPoset._closed(size, rep.down + (d,))
                     grown.setdefault(child.canonical_key(), child)
             reps = list(grown.values())
         yield reps

@@ -9,13 +9,22 @@ only be produced by componentwise-bounded factors).
 
 Series are inverted coefficient by coefficient, by a triangular recurrence
 over the exponents in lexicographic order (see TruncatedSeries.inverse). That
-one inverse serves cf_series, multiset_count_cf, g_umbral_series (1/(1 - F),
-F a series in x and the umbral variable t), expand_rational, and so
-mfenum.u_bivariate. For the commutation series 1/(1 - sum x_i + sum x_i
-x_{i+1}), the Cartier-Foata clique series of a trace monoid, the recurrence
-reads
+one inverse serves cf_series, g_umbral_series (1/(1 - F), F a series in x and
+the umbral variable t), expand_rational, and so mfenum.u_bivariate. For the
+commutation series 1/(1 - sum x_i + sum x_i x_{i+1}), the Cartier-Foata
+clique series of a trace monoid, the recurrence reads
 
     c(e) = sum_i c(e - e_i) - sum_i c(e - e_i - e_{i+1}),  c(0) = 1.
+
+multiset_count_cf reads one coefficient of that series without the box: it
+expands 1/(1 - F) as sum_m F^m and sums over the dominoes x_i x_{i+1} taken
+(Cartier and Foata; Viennot's heaps of pieces). With e_i dominoes on i and
+i + 1 and s_i single letters i, a term weighs
+
+    (-1)^|e| (|a| - |e|)! / (prod e_i! prod s_i!),  s_i = a_i - e_{i-1} - e_i,
+
+and a DP along the letter values adds them up in polynomial time. cf_series
+stays its oracle.
 """
 from __future__ import annotations
 
@@ -28,6 +37,7 @@ from salient.errors import DomainError, GuardExceeded, InternalConsistencyError
 from salient.words import MultisetSpec
 
 CF_BOX_CAP = 10_000
+DOMINO_CAP = 10_000_000
 PROFILE_CAP = 200
 
 
@@ -269,13 +279,65 @@ def cf_series(n: int, caps) -> TruncatedSeries:
 
 def multiset_count_cf(spec: MultisetSpec) -> int:
     """Number of interchange classes of arrangements of the multiset: the
-    coefficient of prod x^c in cf_series, c = spec.caps_vector(). Letters
-    commute only with their neighbours, so a gap of any width is one
-    zero-cap variable. The empty multiset has one (empty) class."""
-    if spec.total == 0:
+    coefficient of prod x^a in cf_series, a the multiplicities, read off the
+    domino sum (see the module docstring). The empty multiset has one (empty)
+    class.
+
+    The DP visits the values present in order, over the states (dominoes
+    into the current value, dominoes so far); no domino joins two values
+    across a gap. It keeps integers: a term times prod a_i! is the product,
+    over the values, of a_i! / (s_i! e_{i-1}!) (-1)^{e_i}, and the sum is
+    divided by prod a_i! once at the end. Its one guard, DOMINO_CAP, bounds
+    the transitions (counted over every state the DP may reach) and the
+    square of the letter count (the last step multiplies factorials of up to
+    that many letters); past either it raises GuardExceeded before any state
+    is built.
+    """
+    total = spec.total
+    if total == 0:
         return 1
-    caps = spec.caps_vector()
-    return cf_series(len(caps), caps).coefficient(caps)
+    pairs = spec.counts
+    counts = [r for _, r in pairs]
+    # links[i]: the most dominoes from the i-th value present to the next
+    links = [min(r, pairs[i + 1][1]) if pairs[i + 1][0] == v + 1 else 0
+             for i, (v, r) in enumerate(pairs[:-1])] + [0]
+    if total * total > DOMINO_CAP:
+        raise GuardExceeded(f"domino sum over {total} letters exceeds limit "
+                            f"{math.isqrt(DOMINO_CAP)}")
+    steps = into = reach = 0
+    reaches = []
+    for d in links:
+        steps += (into + 1) * (reach + 1) * (d + 1)
+        into, reach = d, min(reach + d, total // 2)
+        reaches.append(reach)
+    if steps > DOMINO_CAP:
+        raise GuardExceeded(f"domino sum of up to {steps} transitions "
+                            f"exceeds limit {DOMINO_CAP}")
+    # rows[e_in][e]: the sum over the dominoes so far, e of them and e_in
+    # into the current value, of prod a_j! / (s_j! e_{j-1}!) (-1)^{e_j}
+    rows = [[1]]
+    for r, d, reach in zip(counts, links, reaches):
+        step = [[0] * (reach + 1) for _ in range(d + 1)]
+        for e_in, row in enumerate(rows):
+            rest = r - e_in
+            scale = math.comb(r, e_in)
+            top = min(rest, d) + 1
+            for e, value in enumerate(row):
+                if value:
+                    # times rest! / (rest - e_out)! (-1)^{e_out}, e_out = 0..
+                    term = value * scale
+                    for e_out in range(top):
+                        step[e_out][e + e_out] += term
+                        term *= e_out - rest
+        rows = step
+    # the last value starts no domino, so rows holds one row
+    weighted = sum(v * math.factorial(total - e)
+                   for e, v in enumerate(rows[0]) if v)
+    count, rem = divmod(weighted, math.prod(map(math.factorial, counts)))
+    if rem:
+        raise InternalConsistencyError(
+            f"domino sum of {spec.format()} is not an integer")
+    return count
 
 
 # ---------------------------------------------------------------------------

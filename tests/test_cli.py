@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -116,7 +117,8 @@ def test_multiset(capsys):
 
 def test_multiset_count_only_refuses_limit(capsys):
     refusal = ("error: --limit does not apply to --count-only (the count "
-               "is guarded by its exponent box, at most 10000 entries)\n")
+               "is guarded by its domino sum, at most 10000000 transitions "
+               "and 3162 letters)\n")
     # a limit above the spec's arrangement count, below it, and equal to
     # the member cap's default
     for spec, limit in (("1:13,2:12", "10400600"), ("1:3,2:2", "3"),
@@ -129,6 +131,43 @@ def test_multiset_count_only_refuses_limit(capsys):
         assert (code, out, err) == (1, "", refusal)
     code, out, _ = run(capsys, "multiset", "--spec", "1:3,2:2", "--count-only")
     assert (code, out) == (0, "1\n")
+
+
+def test_multiset_count_only_past_the_series_box(capsys):
+    # a 6^6 = 46,656-entry box, which cf refuses
+    code, out, _ = run(capsys, "multiset", "--spec",
+                       "1:5,2:5,3:5,4:5,5:5,6:5", "--count-only")
+    assert (code, out) == (0, "317070224691728508\n")
+    code, out, _ = run(capsys, "cf", "--n", "6", "--caps", "5,5,5,5,5,5")
+    assert (code, out) == (2, "")
+    # past the domino sum's guard: exit 2, naming the limit
+    code, out, err = run(capsys, "multiset", "--spec", "1:10000000",
+                         "--count-only")
+    assert (code, out, err) == (
+        2, "", "error: domino sum over 10000000 letters exceeds limit 3162\n")
+    for spec, count in (("1000000:1", "1"), ("1:13,3:13", "10400600")):
+        code, out, _ = run(capsys, "multiset", "--spec", spec, "--count-only")
+        assert (code, out) == (0, count + "\n")
+
+
+def test_counts_print_past_the_int_digit_limit(capsys):
+    # 1600! and f(1600) have more digits than int-to-str converts by
+    # default; main lifts that cap while it runs and restores it
+    digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    before = digit_cap()
+    try:
+        if before:
+            sys.set_int_max_str_digits(0)
+        expected = f"{math.factorial(1600)}\n"
+    finally:
+        if before:
+            sys.set_int_max_str_digits(before)
+    apart = ",".join(f"{v}:1" for v in range(1, 3200, 2))
+    code, out, _ = run(capsys, "multiset", "--spec", apart, "--count-only")
+    assert (code, out) == (0, expected)
+    code, out, _ = run(capsys, "count", "--n", "1600", "--method", "formula")
+    assert code == 0 and len(out) == 4435
+    assert digit_cap() == before
 
 
 def test_multiset_members_limit_in_text(capsys):

@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import math
 import operator
@@ -848,6 +849,28 @@ def test_iso_sweep_matches_canonicalize_and_discard():
     for n in range(7):
         assert ([q.down for q in all_posets_up_to_iso(n)]
                 == _first_of_each_class(all_natural_posets(n)))
+    # the sweep grows its children unchecked; each passes the check
+    for q in all_posets_up_to_iso(7):
+        assert NaturalPoset(q.n, q.down) == q
+
+
+def test_recursive_searches_leave_no_cyclic_garbage():
+    # descent_vector's walk, canonical_relation_key's search and
+    # linear_extensions' rec each call themselves through a closure cell
+    q = NaturalPoset.from_relations(5, [(1, 3), (2, 3), (2, 4), (4, 5)])
+    calls = [lambda: _pykernels.descent_vector(q.n, q.down),
+             lambda: canonical_relation_key(q.n, q.down),
+             q.canonical_key,
+             q.linear_extensions,
+             lambda: all_posets_up_to_iso(4)]
+    gc.disable()
+    try:
+        gc.collect()
+        for call in calls:
+            call()
+            assert gc.collect() == 0, call
+    finally:
+        gc.enable()
 
 
 def test_iso_sweep_guards():

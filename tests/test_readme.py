@@ -24,7 +24,7 @@ COOKBOOK = _cookbook_lines()
 
 
 def test_the_cookbook_has_its_checked_lines():
-    assert len(COOKBOOK) == 11
+    assert len(COOKBOOK) == 12
 
 
 @pytest.mark.parametrize("argv, expected", COOKBOOK,

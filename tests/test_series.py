@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salient import series
-from salient.classes import multiset_class_partition
+from salient.classes import f_inclusion_exclusion, multiset_class_partition
 from salient.errors import DomainError, GuardExceeded
 from salient.series import (TruncatedSeries, c_poly, cf_series,
                             expand_rational, f4_coefficient, f4_t_coefficient,
@@ -141,12 +141,105 @@ def test_multiset_count_cf_examples():
 
 
 def test_cf_series_box_guard():
-    # 24 distinct letters ask for a 2^24-entry box
-    distinct = MultisetSpec.from_mapping({v: 1 for v in range(1, 25)})
+    # 24 distinct letters ask the series for a 2^24-entry box...
     with pytest.raises(GuardExceeded, match="exponent box of at least"):
-        multiset_count_cf(distinct)
+        cf_series(24, (1,) * 24)
+    # ...while the domino sum counts them directly
+    distinct = MultisetSpec.from_mapping({v: 1 for v in range(1, 25)})
+    assert multiset_count_cf(distinct) == f_inclusion_exclusion(24)
     assert multiset_count_cf(
         MultisetSpec.from_mapping({v: 1 for v in range(1, 8)})) == F_SEQ[7]
+
+
+def test_domino_sum_matches_the_series_coefficient():
+    # every content with counts 1..5 on at most four values, each pair of
+    # neighbours adjacent or across a gap; a gap of any width is one
+    # zero-cap variable, so one series per gap pattern holds every count
+    checked = 0
+    for k in range(1, 5):
+        for gaps in itertools.product((False, True), repeat=k - 1):
+            caps = [5]
+            for gap in gaps:
+                caps += [0, 5] if gap else [5]
+            full = cf_series(len(caps), caps)
+            for counts in itertools.product(range(1, 6), repeat=k):
+                mapping, value = {1: counts[0]}, 1
+                for i, (gap, r) in enumerate(zip(gaps, counts[1:])):
+                    value += 3 + 10 ** i if gap else 1
+                    mapping[value] = r
+                spec = MultisetSpec.from_mapping(mapping)
+                assert multiset_count_cf(spec) == full.coefficient(
+                    spec.caps_vector()), spec
+                checked += 1
+    assert checked == 5 + 2 * 25 + 4 * 125 + 8 * 625
+
+
+def test_domino_sum_matches_the_closed_counts():
+    for n in range(41):
+        distinct = MultisetSpec.from_mapping({v: 1 for v in range(1, n + 1)})
+        assert multiset_count_cf(distinct) == f_inclusion_exclusion(n), n
+    for k in range(1, 4):
+        umbral = g_umbral_series(k, 6)
+        for n in range(7):
+            uniform = MultisetSpec.from_mapping(
+                {v: k for v in range(1, n + 1)})
+            assert multiset_count_cf(uniform) == umbral[n], (k, n)
+
+
+# the classes of {1^20, ..., 30^20}, far past the series box (21^30
+# entries); g_umbral_series(20, 30) gives the same with PROFILE_CAP raised
+# to 600
+UNIFORM_30_20 = int(
+    "4803076908653833562472042794041075082542881640049107656300936838"
+    "0226816907583917642377593509558609145036395786582596247338911767"
+    "1489751178395615583029750504310748436271659767127657411979389130"
+    "4577691096678625976165007943758488190412551834414421986495435524"
+    "0648283568922278598062923384925740318996432568919507886877542660"
+    "3405889970132691202127576802249932406093769568427842868551004360"
+    "9896465927897952096911809570213781246757157291674162296192083040"
+    "7177949727944508023387523611036914238925218897813640244127477059"
+    "4986066613007009585371888373282939192001142046239520153204899424"
+    "6750361213051956134145753707897320072654058912321600966874108774"
+    "8500458215090893764181685211927020954287860246582110847151233650"
+    "8537647351701364921535780283812002466875720798262110851002143571"
+    "9853969691032657313237629078959724855791953273237332894041143255"
+    "0400000000000000")
+
+
+def test_domino_sum_counts_past_the_box():
+    uniform = MultisetSpec.from_mapping({v: 20 for v in range(1, 31)})
+    assert multiset_count_cf(uniform) == UNIFORM_30_20
+    assert len(str(UNIFORM_30_20)) == 848
+
+
+def test_domino_sum_guard():
+    # the letters: 3162^2 <= DOMINO_CAP < 3163^2
+    assert series.DOMINO_CAP == 10_000_000
+    assert multiset_count_cf(MultisetSpec.parse("1:3162")) == 1
+    with pytest.raises(GuardExceeded,
+                       match="^domino sum over 3163 letters exceeds limit "
+                             "3162$"):
+        multiset_count_cf(MultisetSpec.parse("1:3163"))
+    # the transitions: 55 values of 20 fit, 56 do not
+    with pytest.raises(GuardExceeded,
+                       match="^domino sum of up to 10037496 transitions "
+                             "exceeds limit 10000000$"):
+        multiset_count_cf(MultisetSpec.from_mapping(
+            {v: 20 for v in range(1, 57)}))
+
+
+def test_domino_sum_guard_boundary(monkeypatch):
+    # {1, 2}: 2 transitions out of the start and 2 * 2 from the two
+    # states into 2, and 2^2 letters squared
+    pair = MultisetSpec.parse("1:1,2:1")
+    monkeypatch.setattr(series, "DOMINO_CAP", 6)
+    assert multiset_count_cf(pair) == 1
+    monkeypatch.setattr(series, "DOMINO_CAP", 5)
+    with pytest.raises(GuardExceeded, match="up to 6 transitions"):
+        multiset_count_cf(pair)
+    monkeypatch.setattr(series, "DOMINO_CAP", 3)
+    with pytest.raises(GuardExceeded, match="over 2 letters"):
+        multiset_count_cf(pair)
 
 
 def test_multiset_count_cf_matches_bfs():
