@@ -229,8 +229,9 @@ def test_domino_sum_guard():
 
 
 def test_domino_sum_guard_boundary(monkeypatch):
-    # {1, 2}: 2 transitions out of the start and 2 * 2 from the two
-    # states into 2, and 2^2 letters squared
+    # {1, 2}: the bound counts 2 transitions out of the start state and
+    # one out of each of the 2 * 2 states it allows at value 2; the
+    # letters squared are 4
     pair = MultisetSpec.parse("1:1,2:1")
     monkeypatch.setattr(series, "DOMINO_CAP", 6)
     assert multiset_count_cf(pair) == 1
