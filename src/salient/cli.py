@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from salient import acceptance, classes, mfenum, posets, series, words
@@ -129,7 +128,7 @@ def cmd_multiset(args) -> int:
             raise DomainError(
                 "--limit does not apply to --count-only (the count is "
                 f"guarded by its domino sum, at most {series.DOMINO_CAP} "
-                f"transitions and {math.isqrt(series.DOMINO_CAP)} letters)")
+                f"transitions and {series.DOMINO_LETTER_CAP} letters)")
         print(series.multiset_count_cf(spec))
         return 0
     limit = classes.DEFAULT_ORBIT_CAP if args.limit is None else args.limit
@@ -291,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the class count from the domino sum, "
                         "with no member cap: refused past "
                         f"{series.DOMINO_CAP} transitions or "
-                        f"{math.isqrt(series.DOMINO_CAP)} letters")
+                        f"{series.DOMINO_LETTER_CAP} letters")
     p.add_argument("--members-limit", type=_cap, default=1000)
     add_limit(p, None, member_cap)
     add_format(p)

@@ -19,9 +19,10 @@ posets.IDEAL_CAP, posets.EXTENSION_LIST_SIZE, posets.FLAG_RANK,
 posets.NATURAL_SWEEP (the labelled sweep) and posets.ISO_SWEEP (the
 isomorphism-class sweep behind posets.all_posets_up_to_iso and
 posets.all_bounded_graded_posets); series.CF_BOX_CAP (the exponent box of
-series.cf_series), series.DOMINO_CAP (the transitions and the letters
-squared of the domino sum of series.multiset_count_cf) and series.PROFILE_CAP
-(the profile sums of series.c_poly and so of series.g_umbral_series);
+series.cf_series), series.DOMINO_CAP and series.DOMINO_LETTER_CAP (the
+transitions and the letters of the domino sum of series.multiset_count_cf)
+and series.PROFILE_CAP (the profile sums of series.c_poly and so of
+series.g_umbral_series);
 mfenum.MAX_RANK and mfenum.MAX_ELEMENTS (the level words, the distributive
 family included). classes.count_classes_brute keeps to
 classes.DEFAULT_BRUTE_N. Malformed input, a negative size or bound included,

@@ -38,6 +38,7 @@ from salient.words import MultisetSpec
 
 CF_BOX_CAP = 10_000
 DOMINO_CAP = 10_000_000
+DOMINO_LETTER_CAP = 100_000
 PROFILE_CAP = 200
 
 
@@ -287,11 +288,10 @@ def multiset_count_cf(spec: MultisetSpec) -> int:
     into the current value, dominoes so far); no domino joins two values
     across a gap. It keeps integers: a term times prod a_i! is the product,
     over the values, of a_i! / (s_i! e_{i-1}!) (-1)^{e_i}, and the sum is
-    divided by prod a_i! once at the end. Its one guard, DOMINO_CAP, bounds
-    the transitions (counted over every state the DP may reach) and the
-    square of the letter count (the last step multiplies factorials of up to
-    that many letters); past either it raises GuardExceeded before any state
-    is built.
+    divided by prod a_i! once at the end. Two guards raise GuardExceeded
+    before any state is built: DOMINO_LETTER_CAP bounds the letters (the
+    last step takes factorials of up to that many), and DOMINO_CAP the
+    transitions, counted over every state the DP may reach.
     """
     total = spec.total
     if total == 0:
@@ -301,9 +301,9 @@ def multiset_count_cf(spec: MultisetSpec) -> int:
     # links[i]: the most dominoes from the i-th value present to the next
     links = [min(r, pairs[i + 1][1]) if pairs[i + 1][0] == v + 1 else 0
              for i, (v, r) in enumerate(pairs[:-1])] + [0]
-    if total * total > DOMINO_CAP:
+    if total > DOMINO_LETTER_CAP:
         raise GuardExceeded(f"domino sum over {total} letters exceeds limit "
-                            f"{math.isqrt(DOMINO_CAP)}")
+                            f"{DOMINO_LETTER_CAP}")
     steps = into = reach = 0
     reaches = []
     for d in links:
@@ -330,9 +330,12 @@ def multiset_count_cf(spec: MultisetSpec) -> int:
                         step[e_out][e + e_out] += term
                         term *= e_out - rest
         rows = step
-    # the last value starts no domino, so rows holds one row
-    weighted = sum(v * math.factorial(total - e)
-                   for e, v in enumerate(rows[0]) if v)
+    # the last value starts no domino, so rows holds one row; the sum of
+    # its entries times (total - e)! goes by Horner's rule, one factorial
+    weighted = 0
+    for e, value in enumerate(rows[0]):
+        weighted = weighted * (total - e + 1) + value
+    weighted *= math.factorial(total - len(rows[0]) + 1)
     count, rem = divmod(weighted, math.prod(map(math.factorial, counts)))
     if rem:
         raise InternalConsistencyError(

@@ -274,24 +274,14 @@ class MultisetSpec:
     def total(self) -> int:
         return sum(r for _, r in self.counts)
 
-    def caps_vector(self) -> tuple[int, ...]:
-        """Multiplicities of the values present, in order, with one zero
-        for each gap between them however wide, and none below the least.
-
-        >>> MultisetSpec.parse("1:2,4:1,9:3").caps_vector()
-        (2, 0, 1, 0, 3)
-        """
-        out: list[int] = []
-        for i, (v, r) in enumerate(self.counts):
-            if i and v > self.counts[i - 1][0] + 1:
-                out.append(0)
-            out.append(r)
-        return tuple(out)
-
     def words(self) -> Iterator[Word]:
         """All distinct arrangements, in lexicographic order: Knuth's
         Algorithm L (TAOCP 7.2.1.2), stepping to the next permutation of the
-        letters in place."""
+        letters in place.
+
+        >>> list(MultisetSpec.parse("1:2,3:1").words())
+        [(1, 1, 3), (1, 3, 1), (3, 1, 1)]
+        """
         a = [v for v, r in self.counts for _ in range(r)]
         last = len(a) - 1
         while True:

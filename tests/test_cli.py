@@ -118,7 +118,7 @@ def test_multiset(capsys):
 def test_multiset_count_only_refuses_limit(capsys):
     refusal = ("error: --limit does not apply to --count-only (the count "
                "is guarded by its domino sum, at most 10000000 transitions "
-               "and 3162 letters)\n")
+               "and 100000 letters)\n")
     # a limit above the spec's arrangement count, below it, and equal to
     # the member cap's default
     for spec, limit in (("1:13,2:12", "10400600"), ("1:3,2:2", "3"),
@@ -144,8 +144,13 @@ def test_multiset_count_only_past_the_series_box(capsys):
     code, out, err = run(capsys, "multiset", "--spec", "1:10000000",
                          "--count-only")
     assert (code, out, err) == (
-        2, "", "error: domino sum over 10000000 letters exceeds limit 3162\n")
-    for spec, count in (("1000000:1", "1"), ("1:13,3:13", "10400600")):
+        2, "", "error: domino sum over 10000000 letters exceeds limit "
+               "100000\n")
+    # counts the box allowed, up to its largest content (1:9999, a
+    # 10,000-entry box), print as they did under the box
+    for spec, count in (("1000000:1", "1"), ("1:13,3:13", "10400600"),
+                        ("1:5000", "1"), ("1:4000,2:1", "1"),
+                        ("1:9999", "1")):
         code, out, _ = run(capsys, "multiset", "--spec", spec, "--count-only")
         assert (code, out) == (0, count + "\n")
 

@@ -151,6 +151,17 @@ def test_cf_series_box_guard():
         MultisetSpec.from_mapping({v: 1 for v in range(1, 8)})) == F_SEQ[7]
 
 
+def caps_vector(spec):
+    """The exponent vector of spec in cf_series: its multiplicities in
+    order of value, with one zero for each gap however wide."""
+    out = []
+    for i, (v, r) in enumerate(spec.counts):
+        if i and v > spec.counts[i - 1][0] + 1:
+            out.append(0)
+        out.append(r)
+    return tuple(out)
+
+
 def test_domino_sum_matches_the_series_coefficient():
     # every content with counts 1..5 on at most four values, each pair of
     # neighbours adjacent or across a gap; a gap of any width is one
@@ -169,7 +180,7 @@ def test_domino_sum_matches_the_series_coefficient():
                     mapping[value] = r
                 spec = MultisetSpec.from_mapping(mapping)
                 assert multiset_count_cf(spec) == full.coefficient(
-                    spec.caps_vector()), spec
+                    caps_vector(spec)), spec
                 checked += 1
     assert checked == 5 + 2 * 25 + 4 * 125 + 8 * 625
 
@@ -213,14 +224,19 @@ def test_domino_sum_counts_past_the_box():
 
 
 def test_domino_sum_guard():
-    # the letters: 3162^2 <= DOMINO_CAP < 3163^2
-    assert series.DOMINO_CAP == 10_000_000
-    assert multiset_count_cf(MultisetSpec.parse("1:3162")) == 1
+    # the letters: every content the series box takes has fewer letters
+    # than the box has entries, prod (a_i + 1) >= 1 + sum a_i, so the
+    # domino sum counts all of them
+    assert series.DOMINO_LETTER_CAP == 100_000
+    assert series.DOMINO_LETTER_CAP >= series.CF_BOX_CAP
+    assert multiset_count_cf(MultisetSpec.parse("1:9999")) == 1
+    assert multiset_count_cf(MultisetSpec.parse("1:4000,2:1")) == 1
     with pytest.raises(GuardExceeded,
-                       match="^domino sum over 3163 letters exceeds limit "
-                             "3162$"):
-        multiset_count_cf(MultisetSpec.parse("1:3163"))
+                       match="^domino sum over 100001 letters exceeds limit "
+                             "100000$"):
+        multiset_count_cf(MultisetSpec.parse("1:100001"))
     # the transitions: 55 values of 20 fit, 56 do not
+    assert series.DOMINO_CAP == 10_000_000
     with pytest.raises(GuardExceeded,
                        match="^domino sum of up to 10037496 transitions "
                              "exceeds limit 10000000$"):
@@ -230,16 +246,17 @@ def test_domino_sum_guard():
 
 def test_domino_sum_guard_boundary(monkeypatch):
     # {1, 2}: the bound counts 2 transitions out of the start state and
-    # one out of each of the 2 * 2 states it allows at value 2; the
-    # letters squared are 4
+    # one out of each of the 2 * 2 states it allows at value 2; it has 2
+    # letters
     pair = MultisetSpec.parse("1:1,2:1")
     monkeypatch.setattr(series, "DOMINO_CAP", 6)
+    monkeypatch.setattr(series, "DOMINO_LETTER_CAP", 2)
     assert multiset_count_cf(pair) == 1
     monkeypatch.setattr(series, "DOMINO_CAP", 5)
     with pytest.raises(GuardExceeded, match="up to 6 transitions"):
         multiset_count_cf(pair)
-    monkeypatch.setattr(series, "DOMINO_CAP", 3)
-    with pytest.raises(GuardExceeded, match="over 2 letters"):
+    monkeypatch.setattr(series, "DOMINO_LETTER_CAP", 1)
+    with pytest.raises(GuardExceeded, match="over 2 letters exceeds limit 1"):
         multiset_count_cf(pair)
 
 

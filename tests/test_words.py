@@ -142,7 +142,6 @@ def test_multiset_spec():
     spec = MultisetSpec.parse("1:2,2:1,3:2")
     assert spec.total == 5
     assert spec.counts[-1][0] == 3
-    assert spec.caps_vector() == (2, 1, 2)
     assert spec.counts == ((1, 2), (2, 1), (3, 2))
     assert MultisetSpec.parse(spec.format()) == spec
     with pytest.raises(DomainError):
@@ -153,8 +152,6 @@ def test_multiset_spec():
                             (((2, 1), (1, 1)), "sorted by value")):
         with pytest.raises(DomainError, match=message):
             MultisetSpec(counts)
-    gapped = MultisetSpec.parse("1:2,4:1")
-    assert gapped.caps_vector() == (2, 0, 1)
 
 
 def test_multiset_spec_is_an_immutable_value():
