@@ -168,68 +168,97 @@ def _normal_forms(counts: list[int], commute: list[int]
     run of letters that all commute with c and hold one greater than c
     (Anisimov and Knuth 1979; Diekert and Rozenberg, The Book of Traces).
     Every prefix of such a word is one too, so a depth-first search in
-    letter order checks each append against the run before it and visits no
-    other word. After a letter is taken back the next one is tried, so the
-    word itself is the search's stack.
+    letter order visits no other word. Each prefix keeps the mask of the
+    letters it forbids, forbid(w·b) = (forbid(w) | letters below b) &
+    commute[b], so its children are the letters left that it does not
+    forbid, and a prefix with none is not entered.
 
     The size of a class is the number of linear extensions of its heap,
     counted from the end (a heap and its reversal have as many): count(u)
     is the sum of count(u without j) over the free positions j, those
-    whose letter commutes with every later letter. The last position is
-    one, and u without it is the search's prefix, whose count the search
-    keeps; a running AND of the commute masks finds the others, and
-    _extension_count counts those subwords. Its memo is cleared when the
+    whose letter commutes with every later letter. Free positions hold
+    distinct letters, each its letter's last, so a prefix keeps them as a
+    letter mask, free(w·b) = (free(w) & commute[b]) | b. On entry a prefix
+    w·c counts all its children w·c·d in one table, then enters them in
+    letter order. The last position gives count(w·c); when c commutes with
+    d, the one before gives count(w·d), a normal form with d > c, so both
+    are entries of the parent's table. The earlier free positions give
+    subwords that _extension_count counts, with a memo cleared when the
     first letter changes, which bounds it by one first letter's classes.
     """
     left = list(counts)
     total = sum(left)
-    if not total:
-        yield (), 1
+    if total <= 1:
+        yield tuple(c for c, r in enumerate(left) if r), 1
         return
     k = len(left)
+    avail = sum(1 << c for c, r in enumerate(left) if r)
     word: list[int] = []
-    sizes = [1]   # the count of each prefix of word
+    depth = 0   # len(word)
+    # per prefix: [children not yet entered, the children's counts,
+    # forbidden letters, letters at free positions]
+    stack = [[avail, [1] * k, 0, 0]]
     memo: dict[Word, int] = {}
-    c = 1
     while True:
-        if c == k:
-            if not word:
+        frame = stack[-1]
+        todo, table, forbid, free = frame
+        if not todo:
+            if not depth:
                 return
+            stack.pop()
             c = word.pop()
-            sizes.pop()
+            depth -= 1
             left[c] += 1
-            c += 1
+            avail |= 1 << c
             continue
-        if left[c]:
-            mask = commute[c]
-            for x in reversed(word):
-                if not mask >> x & 1 or x > c:
-                    break
-            else:
-                x = 0
-            if x < c or not mask >> x & 1:
-                size = sizes[-1]
-                free = mask
-                j = len(word) - 1
-                while free and j >= 0:
-                    x = word[j]
-                    if free >> x & 1:
-                        size += _extension_count(
-                            (*word[:j], *word[j + 1:], c), commute, memo)
-                    free &= commute[x]
+        low = todo & -todo
+        frame[0] = todo ^ low
+        c = low.bit_length() - 1
+        size = table[c]
+        if not depth:
+            memo.clear()
+        left[c] -= 1
+        if not left[c]:
+            avail ^= low
+        mask = commute[c]
+        forbid = (forbid | low - 1) & mask
+        allowed = avail & ~forbid
+        if not allowed:
+            left[c] += 1
+            avail |= low
+            continue
+        earlier = free & mask   # free in word·c, before c
+        child = [0] * k
+        rest = allowed
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            d = bit.bit_length() - 1
+            n = size
+            side = commute[d]
+            if side & low:
+                n += table[d]
+            side &= earlier
+            while side:
+                y = side & -side
+                side ^= y
+                y = y.bit_length() - 1
+                j = depth - 1
+                while word[j] != y:
                     j -= 1
-                if len(word) + 1 == total:
-                    yield (*word, c), size
-                else:
-                    if not word:
-                        memo.clear()
-                    word.append(c)
-                    sizes.append(size)
-                    left[c] -= 1
-                    c = 1
-                    continue
-        c += 1
-
+                n += _extension_count((*word[:j], *word[j + 1:], c, d),
+                                      commute, memo)
+            child[d] = n
+        if depth + 2 == total:
+            # one letter is left, so word·c has one child, a whole word
+            d = allowed.bit_length() - 1
+            yield (*word, c, d), child[d]
+            left[c] += 1
+            avail |= low
+            continue
+        word.append(c)
+        depth += 1
+        stack.append([allowed, child, forbid, earlier | low])
 
 def _extension_count(word: Word, commute: list[int],
                      memo: dict[Word, int]) -> int:
