@@ -372,13 +372,21 @@ def _heap(w: Word, steps: Container[int]) -> NaturalPoset:
     """Position j lies above each earlier i whose letter differs from w_j by
     no amount in steps, closed transitively; equal letters are thus chained.
     Read as letters, the linear extensions are exactly the class of w under
-    the moves at those differences (Cartier-Foata; Viennot)."""
+    the moves at those differences (Cartier-Foata; Viennot).
+
+    The down-set of j is built scanning back from j. A position already in
+    it adds nothing, since it is closed, and the scan stops once every
+    position at or below the scan point is in it; so a chain costs a few
+    steps per position, not j."""
     down: list[int] = []
     for j, b in enumerate(w):
         d = 0
-        for i in range(j):
-            if abs(w[i] - b) not in steps:
+        for i in range(j - 1, -1, -1):
+            if abs(w[i] - b) not in steps and not d >> i & 1:
                 d |= 1 << i | down[i]
+                below = (2 << i) - 1
+                if d & below == below:
+                    break
         down.append(d)
     return NaturalPoset._closed(len(w), tuple(down))
 

@@ -204,6 +204,34 @@ def test_heap_passes_the_public_poset_check():
             assert NaturalPoset(heap.n, heap.down) == heap
 
 
+def _pairwise_down(w, steps):
+    """The heap's down masks by testing every earlier position against
+    each position: the oracle of the early-stopping builder."""
+    down = []
+    for j, b in enumerate(w):
+        d = 0
+        for i in range(j):
+            if abs(w[i] - b) not in steps:
+                d |= 1 << i | down[i]
+        down.append(d)
+    return tuple(down)
+
+
+def test_heap_against_the_pairwise_builder():
+    rng = random.Random(27)
+    words = [identity(200), reverse(identity(200)),
+             (1,) + (3,) * 50 + (2,) + (3,) * 50]
+    for _ in range(300):
+        n = rng.randrange(40)
+        words.append(tuple(rng.sample(range(1, n + 1), n)))
+        words.append(tuple(rng.randint(1, rng.randint(1, 6))
+                           for _ in range(n)))
+    for relation in ("consecutive", "geq:2", "geq:3"):
+        steps = parse_relation(relation)
+        for w in words:
+            assert classes._heap(w, steps).down == _pairwise_down(w, steps)
+
+
 def _bfs_orbits(words, j):
     """Each word's orbit under swaps of adjacent letters differing by j or
     more, by a search of its own: a dict from word to orbit."""
