@@ -285,13 +285,18 @@ def multiset_count_cf(spec: MultisetSpec) -> int:
     class.
 
     The DP visits the values present in order, over the states (dominoes
-    into the current value, dominoes so far); no domino joins two values
-    across a gap. It keeps integers: a term times prod a_i! is the product,
-    over the values, of a_i! / (s_i! e_{i-1}!) (-1)^{e_i}, and the sum is
-    divided by prod a_i! once at the end. Two guards raise GuardExceeded
-    before any state is built: DOMINO_LETTER_CAP bounds the letters (the
-    last step takes factorials of up to that many), and DOMINO_CAP the
-    transitions, counted over every state the DP may reach.
+    into the current value, dominoes before those); no domino joins two
+    values across a gap. A step to the next value counts all of a state's
+    dominoes as before the incoming ones, whatever it sends on, so each row
+    is dense. It keeps integers: a term times prod a_i! is the product, over the values,
+    of a_i! / (s_i! e_{i-1}!) (-1)^{e_i}, and the sum is divided by
+    prod a_i! once at the end. Two guards raise GuardExceeded before any
+    state is built: DOMINO_LETTER_CAP bounds the letters (the last step
+    takes factorials of up to that many), and DOMINO_CAP the transitions,
+    counted as if each row spanned every domino so far. That overcounts
+    the DP's own transitions (two values of a letters each make 2a + 2 of
+    them, but count (a + 1)^2 + a + 1), and so refuses a content whose
+    few transitions multiply integers of thousands of digits.
     """
     total = spec.total
     if total == 0:
@@ -305,30 +310,31 @@ def multiset_count_cf(spec: MultisetSpec) -> int:
         raise GuardExceeded(f"domino sum over {total} letters exceeds limit "
                             f"{DOMINO_LETTER_CAP}")
     steps = into = reach = 0
-    reaches = []
     for d in links:
         steps += (into + 1) * (reach + 1) * (d + 1)
         into, reach = d, min(reach + d, total // 2)
-        reaches.append(reach)
     if steps > DOMINO_CAP:
         raise GuardExceeded(f"domino sum of up to {steps} transitions "
                             f"exceeds limit {DOMINO_CAP}")
-    # rows[e_in][e]: the sum over the dominoes so far, e of them and e_in
-    # into the current value, of prod a_j! / (s_j! e_{j-1}!) (-1)^{e_j}
+    # rows[e_in][p]: the sum over the dominoes so far, e_in of them into
+    # the current value and p before those, of
+    # prod a_j! / (s_j! e_{j-1}!) (-1)^{e_j}
     rows = [[1]]
-    for r, d, reach in zip(counts, links, reaches):
-        step = [[0] * (reach + 1) for _ in range(d + 1)]
+    for r, d in zip(counts, links):
+        width = min(len(rows[0]) + len(rows) - 1, total // 2 + 1)
+        step = [[0] * width for _ in range(d + 1)]
+        scale = 1   # comb(r, e_in)
         for e_in, row in enumerate(rows):
             rest = r - e_in
-            scale = math.comb(r, e_in)
             top = min(rest, d) + 1
-            for e, value in enumerate(row):
+            for p, value in enumerate(row, e_in):
                 if value:
                     # times rest! / (rest - e_out)! (-1)^{e_out}, e_out = 0..
                     term = value * scale
                     for e_out in range(top):
-                        step[e_out][e + e_out] += term
+                        step[e_out][p] += term
                         term *= e_out - rest
+            scale = scale * rest // (e_in + 1)
         rows = step
     # the last value starts no domino, so rows holds one row; the sum of
     # its entries times (total - e)! goes by Horner's rule, one factorial

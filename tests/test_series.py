@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,22 @@ def test_domino_sum_counts_past_the_box():
     uniform = MultisetSpec.from_mapping({v: 20 for v in range(1, 31)})
     assert multiset_count_cf(uniform) == UNIFORM_30_20
     assert len(str(UNIFORM_30_20)) == 848
+
+
+
+def test_domino_sum_rows_span_the_dominoes_before_the_incoming():
+    # two linked values of 3160 letters: a row per domino count into the
+    # second value, each over the dominoes before those, keeps 2 x 3161
+    # entries; rows over every domino count so far kept 3161 x 3161 and
+    # peaked at 91 MB
+    spec = MultisetSpec.parse("1:3160,2:3160")
+    tracemalloc.start()
+    try:
+        assert multiset_count_cf(spec) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2 ** 20
 
 
 def test_domino_sum_guard():
