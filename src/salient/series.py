@@ -288,9 +288,9 @@ def multiset_count_cf(spec: MultisetSpec) -> int:
     into the current value, dominoes before those); no domino joins two
     values across a gap. A step to the next value counts all of a state's
     dominoes as before the incoming ones, whatever it sends on, so each row
-    is dense. It keeps integers: a term times prod a_i! is the product, over the values,
-    of a_i! / (s_i! e_{i-1}!) (-1)^{e_i}, and the sum is divided by
-    prod a_i! once at the end. Two guards raise GuardExceeded before any
+    is dense. It keeps integers: a term times prod a_i! is the product,
+    over the values, of a_i! / (s_i! e_{i-1}!) (-1)^{e_i}, and the sum is
+    divided by prod a_i! once at the end. Two guards raise GuardExceeded before any
     state is built: DOMINO_LETTER_CAP bounds the letters (the last step
     takes factorials of up to that many), and DOMINO_CAP the transitions,
     counted as if each row spanned every domino so far. That overcounts
