@@ -354,6 +354,31 @@ def test_partition_against_the_scan_on_gapped_multisets():
         assert _as_triples(multiset_class_partition(spec)) == oracle, spec
 
 
+def test_partition_against_the_scan_on_gapped_multisets_beyond_consecutive():
+    # a consecutive heap's antichains hold at most two positions; these
+    # relations give wider ones, so a word on repeated letters can take
+    # side terms from several earlier positions at once
+    for steps in (parse_relation("geq:2"), parse_relation("geq:3"),
+                  frozenset({1, 3})):
+        for spec in _random_gapped_specs(60, 8, seed=27):
+            values = [v for v, _ in spec.counts]
+            counts = [r for _, r in spec.counts]
+            partition = classes._partition(values, counts, steps,
+                                           classes.DEFAULT_ORBIT_CAP)
+            oracle = _scan_partition(spec.words(), steps)
+            assert _as_triples(partition) == oracle, (spec, steps)
+
+
+def test_partition_sizes_against_the_heap_at_total_ten():
+    # every content of ten letters on three or four consecutive values
+    for k in (3, 4):
+        for counts in itertools.product(range(1, 9), repeat=k):
+            if sum(counts) == 10:
+                spec = MultisetSpec.from_mapping(dict(enumerate(counts, 1)))
+                for cls in multiset_class_partition(spec):
+                    assert cls.size == class_size(cls.representative)
+
+
 def test_partition_of_long_words():
     # one arrangement of 5000 letters, a chain: no recursion, no quadratic
     # copying
