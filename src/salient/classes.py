@@ -3,16 +3,17 @@ sizes, and the class-counting formulas and series.
 
 A relation is its set S of letter differences: adjacent letters a and b swap
 when |a - b| is in S, which is {1} for the consecutive relation and every
-difference >= J for geq:J (parse_relation returns S). The relations are trace
-equivalences on words of distinct or repeated letters, so a class is a
+difference >= J for geq:J (parse_relation returns S). The relations are
+trace equivalences on words of distinct or repeated letters, so a class is a
 connected component of the move graph and the set of linear extensions of
 the word's heap; every path below takes S alone. A partition lists each
 class's least word, its lexicographic normal form, by a depth-first search
-that visits no other word, with the class's size counted off the word's heap
-as the search goes. A class's members are listed only when read, by the
-breadth-first closure that class_of runs on a single class;
-tests/test_classes.py keeps a union-find scan over every word as the
-partition's oracle. Member order is lexicographic. Sizes, minima and
+that visits no other word: each prefix tests its next letters as one mask
+and counts the class sizes of all its children in one table, mostly from its
+parent's table, with a word-keyed memo for the rest. A class's members are
+listed only when read, by the breadth-first closure that class_of runs on a
+single class; tests/test_classes.py keeps a union-find scan over every word
+as the partition's oracle. Member order is lexicographic. Sizes, minima and
 segments of single words are read off the heap poset too. The orbit memory
 guard is a member cap (default 10**7) and, when SALIENT_LIMIT_MB is set, a
 byte budget. A partition checks its arrangement count against it before the
@@ -177,7 +178,7 @@ def _normal_forms(counts: list[int], commute: list[int]
     counted from the end (a heap and its reversal have as many): count(u)
     is the sum of count(u without j) over the free positions j, those
     whose letter commutes with every later letter. Free positions hold
-    distinct letters, each its letter's last, so a prefix keeps them as a
+    distinct letters, each at its last place, so a prefix keeps them as a
     letter mask, free(w·b) = (free(w) & commute[b]) | b. On entry a prefix
     w·c counts all its children w·c·d in one table, then enters them in
     letter order. The last position gives count(w·c); when c commutes with
@@ -259,6 +260,7 @@ def _normal_forms(counts: list[int], commute: list[int]
         word.append(c)
         depth += 1
         stack.append([allowed, child, forbid, earlier | low])
+
 
 def _extension_count(word: Word, commute: list[int],
                      memo: dict[Word, int]) -> int:
