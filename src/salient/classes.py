@@ -3,8 +3,8 @@ sizes, and the class-counting formulas and series.
 
 A relation is its set S of letter differences: adjacent letters a and b swap
 when |a - b| is in S, which is {1} for the consecutive relation and every
-difference >= J for geq:J (parse_relation returns S). The relations are
-trace equivalences on words of distinct or repeated letters, so a class is a
+difference >= J for geq:J (parse_relation returns S). The relations are trace
+equivalences on words of distinct or repeated letters, so a class is a
 connected component of the move graph and the set of linear extensions of
 the word's heap; every path below takes S alone. A partition lists each
 class's least word, its lexicographic normal form, by a depth-first search

@@ -224,7 +224,6 @@ def test_domino_sum_counts_past_the_box():
     assert len(str(UNIFORM_30_20)) == 848
 
 
-
 def test_domino_sum_rows_span_the_dominoes_before_the_incoming():
     # two linked values of 3160 letters: a row per domino count into the
     # second value, each over the dominoes before those, keeps 2 x 3161
