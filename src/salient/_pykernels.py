@@ -122,13 +122,6 @@ def order_ideals(down, cap: int | None = None) -> list[int]:
     return ideals
 
 
-def layer_entries(sizes) -> list[int]:
-    """Entries of a chain-count table by rank: with sizes[r] elements of
-    rank r, chain_counts keeps 2^(r-1) entries for each element of rank r
-    >= 1, so entry r - 1 of the result is sizes[r] * 2^(r-1)."""
-    return [count << r >> 1 for r, count in enumerate(sizes) if r]
-
-
 def chain_counts(layers, moebius: bool = False) -> list[int]:
     """Flag f-vector of a graded poset of rank n = len(layers) - 1, or with
     moebius=True its flag h-vector.
@@ -221,9 +214,9 @@ def moebius_by_recursion(sizes) -> bool:
     """
     n = len(sizes) - 1
     below = work = 0
-    for count, entries in zip(sizes[1:], layer_entries(sizes)):
+    for r, count in enumerate(sizes[1:], 1):
         work += count * below
-        below += entries
+        below += count << r >> 1   # an element of rank r keeps 2^(r-1)
     return n > 1 and work <= (n - 1) << (n - 2)
 
 

@@ -15,10 +15,11 @@ listed only when read, by the breadth-first closure that class_of runs on a
 single class; tests/test_classes.py keeps a union-find scan over every word
 as the partition's oracle. Member order is lexicographic. Sizes, minima and
 segments of single words are read off the heap poset too. The orbit memory
-guard is a member cap (default 10**7) and, when SALIENT_LIMIT_MB is set, a
-byte budget. A partition checks its arrangement count against it before the
-search, class_size checks the heap's order ideals against it, and class_of
-checks the class size against it before its closure.
+guard is a member cap (posets.DEFAULT_ORBIT_CAP, 10**7) and, when
+SALIENT_LIMIT_MB is set, a byte budget. A partition checks its arrangement
+count against it before the search, class_size passes it to
+NaturalPoset.extension_count as the cap on the heap's order ideals, and
+class_of checks the class size against it before its closure.
 """
 from __future__ import annotations
 
@@ -30,12 +31,11 @@ from typing import Container, Iterator
 
 from salient import series
 from salient.errors import DomainError, GuardExceeded, OrbitOverflowError
-from salient.posets import NaturalPoset
+from salient.posets import DEFAULT_ORBIT_CAP, NaturalPoset
 from salient.words import (MultisetSpec, Word, check_word, _is_salient,
                            _neighbours)
 
 CONSECUTIVE = "consecutive"
-DEFAULT_ORBIT_CAP = 10_000_000
 DEFAULT_BRUTE_N = 8
 DEFAULT_SINGLETON_BRUTE_N = 9
 
@@ -442,15 +442,15 @@ def segment_decomposition(word) -> tuple[Word, ...]:
 def class_size(word, relation: str = CONSECUTIVE,
                max_members: int = DEFAULT_ORBIT_CAP) -> int:
     """Size of the word's class under the relation, without listing it: the
-    number of linear extensions of its heap, counted over the heap's order
-    ideals. Refused when the ideals exceed the member cap; a consecutive
-    heap has antichains of at most two positions, so at most
-    (len(w)/2 + 1)^2 ideals."""
+    number of linear extensions of its heap, counted by
+    NaturalPoset.extension_count with the member cap as its ideal cap.
+    Refused when the ideals exceed it; a consecutive heap has antichains of
+    at most two positions, so at most (len(w)/2 + 1)^2 ideals."""
     steps = parse_relation(relation)
     w = check_word(word)
     cap = _orbit_cap(len(w), max_members)
     try:
-        return _heap(w, steps)._extension_count(cap)
+        return _heap(w, steps).extension_count(cap)
     except GuardExceeded:
         raise OrbitOverflowError(
             f"heap of {w} has more than {cap} order ideals") from None

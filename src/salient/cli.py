@@ -4,8 +4,8 @@ One subcommand per concept; every invocation is deterministic (identical
 arguments give byte-identical output). Exit codes: 0 success, 1 domain or
 usage error, 2 guard or cap exceeded. The --limit of classes, count, class
 and multiset sets the orbit member cap, in words, which SALIENT_LIMIT_MB
-may lower; that of singletons and poset extensions sets their size cap.
-Every other guard is fixed.
+may lower; that of singletons sets its brute-force n cap. Every other guard
+is fixed.
 """
 from __future__ import annotations
 
@@ -200,7 +200,7 @@ def cmd_poset_extensions(args) -> int:
         q = posets.q_from_gamma(args.gamma)
     else:
         raise DomainError("need --gamma or --qn")
-    print(q.extension_count(max_size=args.limit))
+    print(q.extension_count())
     return 0
 
 
@@ -325,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = poset_sub.add_parser("extensions", help="linear extension count")
     p.add_argument("--gamma")
     p.add_argument("--qn", type=int, help="commutation poset on [n]")
-    add_limit(p, posets.DEFAULT_EXTENSION_COUNT_SIZE, "override the size cap")
     p.set_defaults(func=cmd_poset_extensions)
 
     p = sub.add_parser("enumerate", help="multiplicity-free family counts")

@@ -14,6 +14,7 @@ Conventions:
 """
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 import json
 
@@ -24,10 +25,10 @@ from salient.words import Word
 
 ISO_SIZE = 24
 IDEAL_CAP = 200_000
-EXTENSION_LIST_SIZE = 12
-DEFAULT_EXTENSION_COUNT_SIZE = 20
+DEFAULT_IDEAL_WALK = 1 << 20
+DEFAULT_ORBIT_CAP = 10_000_000
 DEFAULT_DESCENT_SIZE = 14
-FLAG_RANK = 20
+FLAG_TABLE_BITS = 21
 NATURAL_SWEEP = 7
 ISO_SWEEP = 8
 
@@ -52,22 +53,28 @@ def ranks_from_mask(mask: int) -> frozenset[int]:
     return frozenset(b + 1 for b in _iter_bits(mask))
 
 
-def _check_chain_table(sizes, max_rank: int) -> None:
+def _check_chain_table(sizes: dict[int, int], bits: int) -> None:
     """Raise GuardExceeded when chain counting over layers of these sizes
-    would keep more than 2^(max_rank+1) entries. _pykernels.chain_counts
-    keeps 2^(r-1) of them for each element of rank r >= 1
-    (_pykernels.layer_entries), so a poset with at most two elements per
-    rank and rank <= max_rank always fits. An entry is a field of w bytes
-    in a packed int, w = 2, 4 or 8 while the counts stay below 2^63, and
-    the f-vector pass keeps each vector shifted to its rank block, which
-    doubles its length. A flag h-vector computed by the Moebius mode of
-    chain_counts keeps as many entries again, but only after the f-vector
-    pass has returned and freed its table."""
-    entries = sum(_pykernels.layer_entries(sizes))
-    if entries > 1 << (max_rank + 1):
-        raise GuardExceeded(
-            f"chain counts need {entries} entries, more than "
-            f"2^{max_rank + 1} (flag vectors limited to rank {max_rank})")
+    (rank: element count) would keep more than 2^bits entries.
+    _pykernels.chain_counts keeps 2^(r-1) of them for each element of rank
+    r >= 1 (its rank blocks), so the table also bounds the rank, and a poset
+    with at most two elements per rank and rank < bits always fits. A rank
+    above bits + 1 needs more on its own and is refused before any table
+    size is formed. An entry is a field of w bytes in a packed
+    int, w = 2, 4 or 8 while the counts stay below 2^63, and the f-vector
+    pass keeps each vector shifted to its rank block, which doubles its
+    length. A flag h-vector computed by the Moebius mode of chain_counts
+    keeps as many entries again, but only after the f-vector pass has
+    returned and freed its table."""
+    top = max(sizes, default=0)
+    if top > bits + 1:
+        entries = f"2^{top - 1} or more"
+    else:
+        entries = sum(count << r >> 1 for r, count in sizes.items() if r)
+        if entries <= 1 << bits:
+            return
+    raise GuardExceeded(
+        f"chain counts need {entries} entries, more than 2^{bits}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +336,14 @@ class GradedPoset:
     def flag_alpha_vector(self) -> list[int]:
         """alpha over all subsets of [rank-1], indexed by rank-set bitmask.
 
-        The vector has 2^(rank-1) entries, so ranks above FLAG_RANK raise
-        GuardExceeded before it is built, as do layers too wide for the
-        chain-count table (see _check_chain_table). Builds alpha and beta
-        together, by _pykernels.flag_vectors."""
+        The vector has 2^(rank-1) entries. Its one guard is the chain-count
+        table, at most 2^FLAG_TABLE_BITS entries (see _check_chain_table),
+        read from a count of the ranks before anything is built. Builds
+        alpha and beta together, by _pykernels.flag_vectors."""
         if self._flags is None:
-            if self.rank > FLAG_RANK:
-                raise GuardExceeded(
-                    f"flag vectors limited to rank {FLAG_RANK}")
-            layers = self.layers()
-            _check_chain_table(list(map(len, layers)), FLAG_RANK)
+            _check_chain_table(Counter(self.ranks), FLAG_TABLE_BITS)
             self._require_bounded()
+            layers = self.layers()
             below = self.below_masks()
             masks = [[below[e] | 1 << e for e in layer] for layer in layers]
             object.__setattr__(self, "_flags", _pykernels.flag_vectors(masks))
@@ -612,9 +616,9 @@ class NaturalPoset:
         return ideals
 
     def ideal_size_profile(self) -> tuple[int, ...]:
-        """Number of ideals of each size 0..n."""
+        """Ideals of each size 0..n, counted under extension_count's guard."""
         out = [0] * (self.n + 1)
-        for m in _pykernels.order_ideals(self.down):
+        for m in _pykernels.order_ideals(self.down, DEFAULT_IDEAL_WALK):
             out[bin(m).count("1")] += 1
         return tuple(out)
 
@@ -637,24 +641,27 @@ class NaturalPoset:
         return GradedPoset(ranks, covers, labels)
 
     def jq_flag_vectors(self) -> tuple[list[int], list[int]]:
-        """(alpha, beta) of the ideal lattice, via the fast kernels. The
-        lattice has rank n, so n above FLAG_RANK raises GuardExceeded, and so
-        does an ideal lattice too wide for the chain-count table. At most
-        C(n, r) ideals have size r, so the table has at most (3^n - 1)/2
-        entries, and the ideal size profile is needed only above that."""
-        if self.n > FLAG_RANK:
-            raise GuardExceeded(f"flag vectors limited to rank {FLAG_RANK}")
-        if (3 ** self.n - 1) // 2 > 1 << (FLAG_RANK + 1):
-            _check_chain_table(self.ideal_size_profile(), FLAG_RANK)
+        """(alpha, beta) of the ideal lattice, via the fast kernels. Its one
+        guard is that lattice's chain-count table (see _check_chain_table),
+        which refuses n above FLAG_TABLE_BITS. The table has at most
+        (3^n - 1)/2 entries (at most C(n, r) ideals have size r), so the
+        ideal size profile is read only above that; its walk refuses no
+        lattice the table accepts (over 2^20 ideals need over 2^21 entries)."""
+        if (3 ** self.n - 1) // 2 > 1 << FLAG_TABLE_BITS:
+            _check_chain_table(dict(enumerate(self.ideal_size_profile())),
+                               FLAG_TABLE_BITS)
         return _kernels.natural_flag_vectors(self.n, self.down)
 
     # -- linear extensions
 
     def linear_extensions(self) -> list[Word]:
-        """All linear extensions as 1-based words, lexicographically sorted."""
-        if self.n > EXTENSION_LIST_SIZE:
-            raise GuardExceeded(
-                f"extension listing limited to {EXTENSION_LIST_SIZE} elements")
+        """All linear extensions as 1-based words, lexicographically sorted.
+        Refused when extension_count finds more than DEFAULT_ORBIT_CAP, the
+        word cap of classes.class_of, before any word is built."""
+        count = self.extension_count()
+        if count > DEFAULT_ORBIT_CAP:
+            raise GuardExceeded(f"{count} linear extensions exceed "
+                                f"{DEFAULT_ORBIT_CAP} words")
         n = self.n
         down = self.down
         out: list[Word] = []
@@ -680,20 +687,14 @@ class NaturalPoset:
         del rec  # it holds itself through its cell; free it now
         return out
 
-    def extension_count(self,
-                        max_size: int = DEFAULT_EXTENSION_COUNT_SIZE) -> int:
-        """Number of linear extensions, by dynamic programming over ideals:
-        an ideal's count is the sum of the counts of the ideals one maximal
-        element smaller."""
-        if self.n > max_size:
-            raise GuardExceeded(
-                f"extension counting limited to {max_size} elements")
-        return self._extension_count()
-
-    def _extension_count(self, max_ideals: int | None = None) -> int:
-        """extension_count's dynamic programming, guarded by the number of
-        order ideals instead of elements: GuardExceeded once there are more
-        than max_ideals of them.
+    def extension_count(self, max_ideals: int = DEFAULT_IDEAL_WALK) -> int:
+        """Number of linear extensions, the maximal chains of the ideal
+        lattice, by dynamic programming over the ideals: an ideal's count is
+        the sum of the counts of the ideals one maximal element smaller. Its
+        one guard is the walk: GuardExceeded once there are more than
+        max_ideals ideals, so every poset of at most 20 elements is counted,
+        and thin ones far past that (classes.class_size passes its member
+        cap instead).
 
         The maximal elements of an ideal are its largest element i and
         those of the ideal without i that are not below i. order_ideals

@@ -288,6 +288,23 @@ def test_class_size_guards_the_heaps_ideals():
         class_size(w, max_members=-1)
 
 
+def test_class_size_counts_through_extension_count_once(monkeypatch):
+    # one linear-extension counter: class_size calls the public method,
+    # once per word, with the member cap as its ideal cap
+    calls = []
+    count = NaturalPoset.extension_count
+
+    def spy(poset, *args):
+        calls.append(args)
+        return count(poset, *args)
+
+    monkeypatch.setattr(NaturalPoset, "extension_count", spy)
+    assert class_size((1, 2, 3, 4, 5)) == 8
+    assert calls == [(classes.DEFAULT_ORBIT_CAP,)]
+    assert class_size((1, 3, 5, 2, 4), "geq:2", max_members=40) == 16
+    assert calls[1:] == [(40,)]
+
+
 def test_heap_paths_past_the_orbit_cap():
     assert class_size(identity(200)) == fibonacci(201)
     w = reverse(identity(300))

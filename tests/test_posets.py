@@ -5,6 +5,8 @@ import math
 import operator
 import pickle
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -276,45 +278,48 @@ def test_gamma_flag_vectors_against_descents_to_rank_11():
         assert _kernels.zeta_vector(beta, max(q.n - 1, 0)) == alpha
 
 
-def test_flag_vectors_rank_guard():
-    # rank 21 is one past posets.FLAG_RANK
-    lattice = GradedPoset.chain(21)
+def test_flag_vectors_rank_guard(monkeypatch):
+    # the chain-count table bounds the rank: a chain of rank r keeps
+    # 2^r - 1 entries, so rank 21 fits in 2^21 and rank 22 does not
+    assert len(GradedPoset.chain(21).flag_beta_vector()) == 2 ** 20
+    assert len(NaturalPoset.chain(21).jq_flag_vectors()[1]) == 2 ** 20
+    lattice = GradedPoset.chain(22)
+    refusal = r"^chain counts need 4194303 entries, more than 2\^21$"
     for flag_vector in (lattice.flag_alpha_vector, lattice.flag_beta_vector):
-        with pytest.raises(GuardExceeded,
-                           match="^flag vectors limited to rank 20$"):
+        with pytest.raises(GuardExceeded, match=refusal):
             flag_vector()
-    with pytest.raises(GuardExceeded, match="^flag vectors limited to rank 20$"):
-        NaturalPoset.chain(21).jq_flag_vectors()
-    # rank 20 itself passes
-    assert len(GradedPoset.chain(20).flag_beta_vector()) == 2 ** 19
-    assert len(NaturalPoset.chain(20).jq_flag_vectors()[1]) == 2 ** 19
-    # the check runs before anything of size 2^(rank - 1) is built
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match=refusal):
+        NaturalPoset.chain(22).jq_flag_vectors()
+    # the check runs before anything of size 2^(rank - 1) is built, and
+    # reads the ranks sparsely, so a huge rank allocates no layer list
+    with pytest.raises(GuardExceeded,
+                       match=r"^chain counts need 2\^60 or more entries"):
         lattice_from_gamma("01" * 30).flag_alpha_vector()
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match=r"need 2\^60 or more"):
         NaturalPoset.chain(61).jq_flag_vectors()
+    monkeypatch.setattr(GradedPoset, "layers", None)
+    with pytest.raises(GuardExceeded, match=r"need 2\^999999999 or more"):
+        GradedPoset([0, 10 ** 9], []).flag_alpha_vector()
 
 
 def test_flag_vectors_chain_table_guard():
-    # rank 4 passes a rank guard of 4, but chain counting over B4 would keep
-    # 4*1 + 6*2 + 4*4 + 1*8 = 40 > 2^5 entries
+    # chain counting over B4 would keep 4*1 + 6*2 + 4*4 + 1*8 = 40 > 2^5
+    # entries
     b4 = GradedPoset.boolean_lattice(4)
     assert b4.layer_sizes() == NaturalPoset.antichain(4).ideal_size_profile()
     with pytest.raises(GuardExceeded, match=(
-            r"^chain counts need 40 entries, more than 2\^5 "
-            r"\(flag vectors limited to rank 4\)$")):
-        _check_chain_table(b4.layer_sizes(), 4)
-    _check_chain_table(b4.layer_sizes(), 5)
-    # every poset with at most two elements per rank still fits at its rank
+            r"^chain counts need 40 entries, more than 2\^5$")):
+        _check_chain_table(Counter(b4.ranks), 5)
+    _check_chain_table(Counter(b4.ranks), 6)
+    # every poset with at most two elements per rank fits below 2^(rank+1)
     for poset in generate_mf_posets("rank", 6):
-        _check_chain_table(poset.layer_sizes(), poset.rank)
+        _check_chain_table(Counter(poset.ranks), poset.rank + 1)
     for q in distributive_mf_family(6):
-        _check_chain_table(q.ideal_size_profile(), q.n)
+        _check_chain_table(dict(enumerate(q.ideal_size_profile())), q.n + 1)
     # through the public calls: the ideal lattice of a 14-element antichain
-    # has rank 14 <= posets.FLAG_RANK but needs (3^14 - 1)/2 > 2^21 entries
+    # has rank 14 but needs (3^14 - 1)/2 > 2^21 entries
     with pytest.raises(GuardExceeded, match=(
-            r"^chain counts need 2391484 entries, more than 2\^21 "
-            r"\(flag vectors limited to rank 20\)$")):
+            r"^chain counts need 2391484 entries, more than 2\^21$")):
         NaturalPoset.antichain(14).jq_flag_vectors()
     # five elements of rank 20 need 5 * 2^19 entries; the guard runs before
     # the boundedness check
@@ -403,8 +408,13 @@ def test_q_from_commuting_word():
 def test_linear_extensions_examples():
     assert len(NaturalPoset.antichain(3).linear_extensions()) == 6
     assert NaturalPoset.chain(4).linear_extensions() == [(1, 2, 3, 4)]
-    with pytest.raises(GuardExceeded):
-        NaturalPoset.antichain(13).linear_extensions()
+    # the guard is the extension count, not the size
+    assert NaturalPoset.chain(30).linear_extensions() == [tuple(range(1, 31))]
+    assert (len(q_from_commuting_word(16).linear_extensions())
+            == fibonacci(17))
+    with pytest.raises(GuardExceeded, match="^39916800 linear extensions "
+                       "exceed 10000000 words$"):
+        NaturalPoset.antichain(11).linear_extensions()
 
 
 def test_extension_count_examples():
@@ -414,11 +424,31 @@ def test_extension_count_examples():
     for n in range(7):
         for q in all_natural_posets(n):
             assert q.extension_count() == len(q.linear_extensions())
-    with pytest.raises(GuardExceeded):
+    # the one guard is the ideals walked: 2^20 by default, so every poset
+    # of at most 20 elements is counted, and thin ones far past that
+    assert (q_from_commuting_word(300).extension_count()
+            == fibonacci(301))
+    assert NaturalPoset.antichain(4).extension_count(max_ideals=16) == 24
+    with pytest.raises(GuardExceeded, match="^more than 15 order ideals$"):
+        NaturalPoset.antichain(4).extension_count(max_ideals=15)
+    with pytest.raises(GuardExceeded,
+                       match="^more than 1048576 order ideals$"):
         NaturalPoset.antichain(21).extension_count()
     with pytest.raises(GuardExceeded,
                        match="^descent tabulation limited to 14 elements$"):
         NaturalPoset.chain(15).descent_vector()
+
+
+@pytest.mark.parametrize("call", [
+    # 2^40 ideals and 12! words, refused before they are listed
+    lambda: NaturalPoset.antichain(40).ideal_size_profile(),
+    lambda: NaturalPoset.antichain(12).linear_extensions(),
+])
+def test_extension_walks_refuse_within_a_second(call):
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded):
+        call()
+    assert time.perf_counter() - start < 1
 
 
 def test_jq_flags_match_generic_lattice_flags():

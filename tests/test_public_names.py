@@ -42,3 +42,18 @@ def test_every_guard_in_the_inventory_resolves():
         if not hasattr(holder, name):
             missing.append(f"{owner}.{name}")
     assert missing == []
+
+
+def test_every_guard_constant_is_in_the_inventory():
+    # the reverse check: a guard constant added to one of these modules must
+    # be listed in salient/errors.py too
+    listed = {name for _, name in re.findall(
+        r"\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)", salient.errors.__doc__)}
+    unlisted = []
+    for module_name in ("posets", "classes", "series", "mfenum"):
+        module = importlib.import_module(f"salient.{module_name}")
+        for name, value in vars(module).items():
+            if (name.isupper() and type(value) is int
+                    and name not in listed):
+                unlisted.append(f"{module_name}.{name}")
+    assert unlisted == []
