@@ -29,15 +29,16 @@ comes from a bound on the final entries computed up front, so nothing
 truncates or wraps, and the vectors returned are plain lists.
 
 Every flag vector pair (alpha, beta) of the pure path comes from
-flag_vectors, beta after alpha. For beta it chooses from the layer sizes
-alone (moebius_by_recursion): the Moebius mode of chain_counts, which
-builds beta by the same recursion, block by block, where it sums no more
-entries than the butterfly's (n-1) * 2^(n-2), and moebius_vector(alpha)
-otherwise. Thin posets of rank 13 or more, such as the lattices
-L(gamma), take the recursion; wide ones, such as Boolean lattices and most
-ideal lattices of seven-element posets, the butterfly. moebius_vector also
-stays the inverse of zeta_vector and the reference the tests hold both
-passes to.
+flag_vectors, beta after alpha. chain_table_size gives the entries of the
+table chain_counts keeps, from the layer sizes alone; the flag guard of
+salient.posets reads it, and flag_vectors takes the Moebius mode of
+chain_counts, which builds beta by the same recursion block by block, where
+that table holds no more entries than the butterfly's (n-1) * 2^(n-2)
+subtractions, and moebius_vector(alpha) otherwise. Thin posets of rank 7 or
+more, such as the lattices L(gamma), take the recursion; wide ones, such as
+Boolean lattices and most ideal lattices of seven-element posets, the
+butterfly. moebius_vector also stays the inverse of zeta_vector and the
+reference the tests hold both passes to.
 
 Conventions shared by both backends:
 
@@ -157,8 +158,8 @@ def chain_counts(layers, moebius: bool = False) -> list[int]:
     built so far, rank block by rank block. |b[S]| is at most the sum of
     the f-vector entries of the subsets of S, and so at most the product of
     (1 + size) over the interior layers. flag_vectors takes this mode
-    instead of the butterfly of moebius_vector where moebius_by_recursion
-    finds it no dearer.
+    instead of the butterfly of moebius_vector where chain_table_size finds
+    it no dearer.
     """
     n = len(layers) - 1
     if n <= 0:
@@ -201,34 +202,31 @@ def chain_counts(layers, moebius: bool = False) -> list[int]:
     return _unpack(top, count, w)
 
 
-def moebius_by_recursion(sizes) -> bool:
-    """Whether the flag h-vector of a bounded graded poset with sizes[r]
-    elements of rank r costs no more by chain_counts(..., moebius=True)
-    than by the butterfly of moebius_vector.
-
-    An element of rank r sums at most the vectors of every lower element,
-    so the recursion adds at most sum_r sizes[r] * sum_{s<r} sizes[s] *
-    2^(s-1) entries; the butterfly does (n-1) * 2^(n-2) subtractions. Thin
-    posets (at most two elements per rank) of rank 13 or more take the
-    recursion, wide ones such as Boolean lattices the butterfly.
-    """
-    n = len(sizes) - 1
-    below = work = 0
-    for r, count in enumerate(sizes[1:], 1):
-        work += count * below
-        below += count << r >> 1   # an element of rank r keeps 2^(r-1)
-    return n > 1 and work <= (n - 1) << (n - 2)
+def chain_table_size(sizes) -> int:
+    """Entries of the table chain_counts keeps for a graded poset with
+    sizes[r] elements of rank r (a rank -> count map): 2^(r-1) for each
+    element of rank r >= 1, its rank blocks. Each entry is a field of w
+    bytes in a packed int, w = 2, 4 or 8 while the counts stay below 2^63;
+    the f-vector pass keeps each vector shifted to its rank block, which
+    doubles its length, and the Moebius mode keeps as many entries again,
+    but only after the f-vector pass has returned and freed its table.
+    The top alone needs 2^(rank-1), so a caller bounding the table can
+    refuse a large rank before this forms the shift."""
+    return sum(count << r >> 1 for r, count in sizes.items() if r)
 
 
 def flag_vectors(layers) -> tuple[list[int], list[int]]:
     """Flag f- and h-vectors (alpha, beta) of the bounded graded poset given
     as for chain_counts. alpha is chain_counts(layers); beta comes from the
-    Moebius mode of chain_counts where moebius_by_recursion says it is no
-    dearer, and from moebius_vector(alpha) otherwise."""
+    Moebius mode of chain_counts where its table (chain_table_size) holds
+    no more entries than the butterfly's (n-1) * 2^(n-2) subtractions, and
+    from moebius_vector(alpha) otherwise."""
     alpha = chain_counts(layers)
-    if moebius_by_recursion(list(map(len, layers))):
+    n = len(layers) - 1
+    table = chain_table_size(dict(enumerate(map(len, layers))))
+    if n > 1 and table <= (n - 1) << (n - 2):
         return alpha, chain_counts(layers, moebius=True)
-    return alpha, moebius_vector(alpha, max(len(layers) - 2, 0))
+    return alpha, moebius_vector(alpha, max(n - 1, 0))
 
 
 def natural_flag_vectors(n: int, down) -> tuple[list[int], list[int]]:

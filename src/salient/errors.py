@@ -5,9 +5,7 @@ silently truncated. Each computation has one guard, checked in the function
 that pays the cost it bounds. The exceptions: the domino sum of
 series.multiset_count_cf keeps series.DOMINO_CAP (its transitions) and
 series.DOMINO_LETTER_CAP (its letters), as its cost also follows the digits
-of its integers; NaturalPoset.ideals_lattice keeps posets.ISO_SIZE
-(elements) and posets.IDEAL_CAP (ideals), as its labels make it cost ideals
-times elements; and the keyword of NaturalPoset.descent_vector counts
+of its integers; and the keyword of NaturalPoset.descent_vector counts
 elements, not the extensions its kernel walks, and stays as perfbench passes
 it as max_size. A guard is a keyword argument only where a caller sets it;
 its DEFAULT_* constant is the keyword default and, for the two guards behind
@@ -24,10 +22,12 @@ class_size sets to the member cap. NaturalPoset.ideal_size_profile walks the
 ideals under the same default, and NaturalPoset.linear_extensions checks the
 extension count against the member cap. Every other guard is a fixed module
 constant: posets.ISO_SIZE (the canonical form,
-posets.canonical_relation_key), posets.FLAG_TABLE_BITS (the chain-count
-table of the flag vectors, which bounds their rank), posets.NATURAL_SWEEP
-(the labelled sweep) and posets.ISO_SWEEP (the isomorphism-class sweep
-behind posets.all_posets_up_to_iso and posets.all_bounded_graded_posets);
+posets.canonical_relation_key), posets.IDEAL_LATTICE_CAP (the ideals times
+elements of NaturalPoset.ideals_lattice), posets.FLAG_TABLE_BITS (the
+chain-count table of the flag vectors, which bounds their rank),
+posets.NATURAL_SWEEP (the labelled sweep) and posets.ISO_SWEEP (the
+isomorphism-class sweep behind posets.all_posets_up_to_iso and
+posets.all_bounded_graded_posets);
 series.CF_BOX_CAP (the exponent box of series.cf_series) and
 series.PROFILE_CAP (the profile sums of series.c_poly and so of
 series.g_umbral_series); mfenum.MAX_RANK and mfenum.MAX_ELEMENTS (the level

@@ -157,12 +157,9 @@ def mf_rank_element_table(max_rank_bound: int) -> dict[tuple[int, int], int]:
 
 def u_bivariate(rank_cap: int, size_cap: int) -> TruncatedSeries:
     """The bivariate rational series counting the family by rank (x) and
-    element count (y), with the numerator factor (1 - 3 x y^2)."""
-    def poly(coeffs) -> TruncatedSeries:
-        return TruncatedSeries(("x", "y"), (rank_cap, size_cap), coeffs)
-
-    num = (poly({(1, 2): 1}) * poly({(0, 0): 1, (1, 2): -1})
-           * poly({(0, 0): 1, (1, 2): -3}))
-    den = poly({(0, 0): 1, (1, 1): -1, (1, 2): -5,
-                (2, 3): 4, (2, 4): 5, (3, 5): -3})
-    return num * den.inverse()
+    element count (y): x y^2 (1 - x y^2)(1 - 3 x y^2), expanded, over
+    1 - x y - 5 x y^2 + 4 x^2 y^3 + 5 x^2 y^4 - 3 x^3 y^5."""
+    return expand_rational({(1, 2): 1, (2, 4): -4, (3, 6): 3},
+                           {(0, 0): 1, (1, 1): -1, (1, 2): -5,
+                            (2, 3): 4, (2, 4): 5, (3, 5): -3},
+                           (rank_cap, size_cap))

@@ -24,7 +24,7 @@ from salient.errors import (DomainError, GuardExceeded,
 from salient.words import Word
 
 ISO_SIZE = 24
-IDEAL_CAP = 200_000
+IDEAL_LATTICE_CAP = 1 << 22
 DEFAULT_IDEAL_WALK = 1 << 20
 DEFAULT_ORBIT_CAP = 10_000_000
 DEFAULT_DESCENT_SIZE = 14
@@ -55,22 +55,16 @@ def ranks_from_mask(mask: int) -> frozenset[int]:
 
 def _check_chain_table(sizes: dict[int, int], bits: int) -> None:
     """Raise GuardExceeded when chain counting over layers of these sizes
-    (rank: element count) would keep more than 2^bits entries.
-    _pykernels.chain_counts keeps 2^(r-1) of them for each element of rank
-    r >= 1 (its rank blocks), so the table also bounds the rank, and a poset
-    with at most two elements per rank and rank < bits always fits. A rank
-    above bits + 1 needs more on its own and is refused before any table
-    size is formed. An entry is a field of w bytes in a packed
-    int, w = 2, 4 or 8 while the counts stay below 2^63, and the f-vector
-    pass keeps each vector shifted to its rank block, which doubles its
-    length. A flag h-vector computed by the Moebius mode of chain_counts
-    keeps as many entries again, but only after the f-vector pass has
-    returned and freed its table."""
+    (rank: element count) would keep more than 2^bits entries, as sized by
+    _pykernels.chain_table_size. The table also bounds the rank, and a
+    poset with at most two elements per rank and rank < bits always fits. A
+    rank above bits + 1 needs more on its own and is refused before any
+    table size is formed."""
     top = max(sizes, default=0)
     if top > bits + 1:
         entries = f"2^{top - 1} or more"
     else:
-        entries = sum(count << r >> 1 for r, count in sizes.items() if r)
+        entries = _pykernels.chain_table_size(sizes)
         if entries <= 1 << bits:
             return
     raise GuardExceeded(
@@ -623,11 +617,11 @@ class NaturalPoset:
         return tuple(out)
 
     def ideals_lattice(self) -> GradedPoset:
-        """The distributive lattice of order ideals, ranked by ideal size."""
-        if self.n > ISO_SIZE:
-            raise GuardExceeded(
-                f"ideal lattice limited to posets with {ISO_SIZE} elements")
-        ideals = self.ideal_masks(cap=IDEAL_CAP)
+        """The distributive lattice of order ideals, ranked by ideal size.
+        Its covers and labels cost ideals times elements, and its one guard
+        bounds that product by IDEAL_LATTICE_CAP as the ideals are walked,
+        before any lattice is built."""
+        ideals = self.ideal_masks(cap=IDEAL_LATTICE_CAP // max(self.n, 1))
         index = {m: e for e, m in enumerate(ideals)}
         ranks = [bin(m).count("1") for m in ideals]
         covers = []

@@ -13,8 +13,8 @@ import pytest
 from salient import _kernels, _pykernels
 from salient.acceptance import DISTLAT_COUNTS
 from salient.errors import DomainError, GuardExceeded
-from salient.posets import (ISO_SIZE, GradedPoset, NaturalPoset,
-                            _check_chain_table,
+from salient.posets import (IDEAL_LATTICE_CAP, ISO_SIZE, GradedPoset,
+                            NaturalPoset, _check_chain_table,
                             all_bounded_graded_posets,
                             all_natural_posets, all_posets_up_to_iso,
                             are_isomorphic, canonical_relation_key,
@@ -150,8 +150,7 @@ def _ref_chain_counts(layers, moebius: bool = False) -> list[int]:
     the x < y of rank s, and the others give -b(y)[S - {s}]. So block s of
     b(y) is the sum of b(x) over the x < y of rank s minus b(y)[:2^(s-1)],
     the prefix built so far. flag_vectors takes this mode instead of the
-    butterfly of moebius_vector where moebius_by_recursion finds it no
-    dearer.
+    butterfly of moebius_vector where chain_table_size finds it no dearer.
     """
     n = len(layers) - 1
     if n <= 0:
@@ -228,15 +227,11 @@ def test_moebius_inversion_round_trip():
 
 
 def test_flag_h_vector_takes_the_cheaper_pass(monkeypatch):
-    # thin lattices (two elements per interior rank) switch to the Moebius
-    # mode of chain_counts at rank 13; Boolean lattices keep the butterfly
-    for rank in range(2, 21):
-        sizes = lattice_from_gamma(gamma_words(rank)[0]).layer_sizes()
-        assert sizes == (1,) + (2,) * (rank - 1) + (1,)
-        assert _pykernels.moebius_by_recursion(sizes) == (rank >= 13)
-    for k in range(1, 11):
-        assert not _pykernels.moebius_by_recursion(
-            GradedPoset.boolean_lattice(k).layer_sizes())
+    # beta comes from the Moebius mode of chain_counts when its table is no
+    # larger than the butterfly's (n-1) * 2^(n-2) subtractions: thin
+    # lattices of rank 12 or more, and ideal lattices of ranks 14 and 18
+    # with one 3-element rank, never call moebius_vector; Boolean lattices
+    # do
     butterfly = _pykernels.moebius_vector
     calls = []
 
@@ -245,18 +240,25 @@ def test_flag_h_vector_takes_the_cheaper_pass(monkeypatch):
         return butterfly(vec, nbits)
 
     monkeypatch.setattr(_pykernels, "moebius_vector", spy)
-    gamma = "01" + "1" * 11
-    thin = lattice_from_gamma(gamma)
-    assert thin.rank == 14
-    beta = thin.flag_beta_vector()
-    q = q_from_gamma(gamma)
-    assert _pykernels.natural_flag_vectors(q.n, q.down)[1] == beta
-    assert calls == []
-    assert beta == butterfly(thin.flag_alpha_vector(), 13)
-    boolean = GradedPoset.boolean_lattice(5)
-    assert boolean.flag_beta_vector() == butterfly(
-        boolean.flag_alpha_vector(), 4)
-    assert calls == [4]
+    thin = [q_from_gamma(gamma_words(rank)[0]) for rank in range(12, 19)]
+    thin.append(q_from_gamma("01" + "1" * 11))
+    # q_gamma below two disjoint 2-chains: J(q_gamma), then the 3 x 3 grid
+    two_chains = NaturalPoset(4, (0, 1, 0, 4))
+    mixed = [ordinal_sum(q_from_gamma(gamma), two_chains)
+             for gamma in ("01" * 4 + "0", "01" * 6 + "0")]
+    assert [(q.n, q.ideals_lattice().layer_sizes().count(3))
+            for q in mixed] == [(14, 1), (18, 1)]
+    for q in thin + mixed:
+        lattice = q.ideals_lattice()
+        beta = lattice.flag_beta_vector()
+        assert _pykernels.natural_flag_vectors(q.n, q.down)[1] == beta
+        assert calls == []
+        assert beta == butterfly(lattice.flag_alpha_vector(), q.n - 1)
+    for k in range(2, 11):
+        boolean = GradedPoset.boolean_lattice(k)
+        assert boolean.flag_beta_vector() == butterfly(
+            boolean.flag_alpha_vector(), k - 1)
+    assert calls == list(range(1, 10))
 
 
 def test_gamma_flag_vectors_against_descents_to_rank_11():
@@ -264,8 +266,8 @@ def test_gamma_flag_vectors_against_descents_to_rank_11():
     # is the flag h-vector of its ideal lattice, lattice_from_gamma
     words = [g for rank in range(1, 12) for g in gamma_words(rank)]
     assert len(words) == 513
-    # and a seeded sample past rank 11: from rank 13 on, beta comes from
-    # the Moebius mode of chain_counts rather than the butterfly
+    # and a seeded sample past rank 11, where beta comes from the Moebius
+    # mode of chain_counts rather than the butterfly
     rng = random.Random(16)
     words += [g for rank in range(12, 16)
               for g in rng.sample(gamma_words(rank), 3)]
@@ -333,13 +335,14 @@ def test_ideals_lattice_examples():
     assert are_isomorphic(NaturalPoset.chain(4).ideals_lattice(), chain(4))
     J = q_from_commuting_word(3).ideals_lattice()
     assert J.size == 6 and J.rank == 3
-    # 2^18 ideals, past posets.IDEAL_CAP
-    with pytest.raises(GuardExceeded, match="^more than 200000 order ideals$"):
+    # the guard bounds ideals times elements: 2^18 ideals of 18 elements
+    # are past it, and the walk stops at 2^22 // 18 ideals, while 2^17 of
+    # 17 elements are within it
+    assert 17 << 17 <= IDEAL_LATTICE_CAP < 18 << 18
+    with pytest.raises(GuardExceeded, match="^more than 233016 order ideals$"):
         NaturalPoset.antichain(18).ideals_lattice()
-    # 26 ideals, but 25 elements are past the size guard
-    with pytest.raises(GuardExceeded, match="^ideal lattice limited to "
-                       "posets with 24 elements$"):
-        NaturalPoset.chain(25).ideals_lattice()
+    # 26 ideals of 25 elements; no element count refuses them
+    assert NaturalPoset.chain(25).ideals_lattice().layer_sizes() == (1,) * 26
 
 
 def test_natural_poset_validation():
