@@ -8,18 +8,20 @@ equivalences on words of distinct or repeated letters, so a class is a
 connected component of the move graph and the set of linear extensions of
 the word's heap; every path below takes S alone. A partition lists each
 class's least word, its lexicographic normal form, by a depth-first search
-that visits no other word: each prefix tests its next letters as one mask
-and counts the class sizes of all its children in one table, mostly from its
-parent's table, with a word-keyed memo for the rest. A class's members are
-listed only when read, by the breadth-first closure that class_of runs on a
-single class; tests/test_classes.py keeps a union-find scan over every word
-as the partition's oracle. Member order is lexicographic. Sizes, minima and
-segments of single words are read off the heap poset too. The orbit memory
-guard is a member cap (posets.DEFAULT_ORBIT_CAP, 10**7) and, when
-SALIENT_LIMIT_MB is set, a byte budget. A partition checks its arrangement
-count against it before the search, class_size passes it to
-NaturalPoset.extension_count as the cap on the heap's order ideals, and
-class_of checks the class size against it before its closure.
+that visits no other word: each prefix tests its next letters as one mask,
+skips a prefix after which some letter left can never be placed, and counts
+its children's class sizes from tables kept on the search stack, one per
+prefix, of the prefix's counts without small up-sets of its heap. A class's
+members are listed only when read, by the breadth-first closure that
+class_of runs on a single class; tests/test_classes.py keeps a union-find
+scan over every word as the partition's oracle. Member order is
+lexicographic. Sizes, minima and segments of single words are read off the
+heap poset too. The orbit memory guard is a member cap
+(posets.DEFAULT_ORBIT_CAP, 10**7) and, when SALIENT_LIMIT_MB is set, a byte
+budget. A partition checks its arrangement count against it before the
+search, class_size passes it to NaturalPoset.extension_count as the cap on
+the heap's order ideals, and class_of checks the class size against it
+before its closure.
 """
 from __future__ import annotations
 
@@ -172,154 +174,342 @@ def _normal_forms(counts: list[int], commute: list[int]
     letter order visits no other word. Each prefix keeps the mask of the
     letters it forbids, forbid(w·b) = (forbid(w) | letters below b) &
     commute[b], so its children are the letters left that it does not
-    forbid, and a prefix with none is not entered.
+    forbid. A prefix is not entered when it has no child, or when a letter
+    left is forbidden and every other letter left commutes with it: that
+    letter stays forbidden whatever comes next, so it is never placed.
 
     The size of a class is the number of linear extensions of its heap,
     counted from the end (a heap and its reversal have as many): count(u)
-    is the sum of count(u without j) over the free positions j, those
-    whose letter commutes with every later letter. Free positions hold
-    distinct letters, each at its last place, so a prefix keeps them as a
-    letter mask, free(w·b) = (free(w) & commute[b]) | b. On entry a prefix
-    w·c counts all its children w·c·d in one table, then enters them in
-    letter order. The last position gives count(w·c); when c commutes with
-    d, the one before gives count(w·d), a normal form with d > c, so both
-    are entries of the parent's table. The earlier free positions give
-    subwords that _extension_count counts, with a memo cleared when the
-    first letter changes, which bounds it by one first letter's classes.
+    is the sum of count(u without x) over the free positions x of u, those
+    whose letter commutes with every later letter. Each prefix p = word[:j]
+    on the stack has a table from an up-set F of its heap, a mask of
+    positions before j - 1, to the count of p without F together with
+    that ideal's free letters, free positions and letters. The last
+    position is free and leaves word[:j - 1] without F, an entry of the
+    level below; each other free position x leaves F | x, an entry of the
+    same level. When F holds the positions from q up to the last, the
+    last letter commutes with all of theirs and the ideal is the sibling
+    word[:q]·(last letter) without the rest of F, whose table is read
+    instead; when the last letter commutes with every letter of the ideal,
+    its count is the ideal's size times the count below. A child's count
+    thus takes its parent's count, its sibling's and one entry per earlier
+    free position. Entries are filled when first read, missing ones on an
+    explicit stack, so no recursion grows with the word and no word is
+    copied, and a table is dropped with its prefix. Frames are pushed for
+    prefixes with three letters left or more: the frame that places the
+    third-to-last letter places the last two and counts those leaves.
     """
     left = list(counts)
     total = sum(left)
-    if total <= 1:
-        yield tuple(c for c, r in enumerate(left) if r), 1
+    if total < 3:
+        w = tuple(c for c, r in enumerate(left) for _ in range(r))
+        if total == 2 and w[0] != w[1] and commute[w[0]] >> w[1] & 1:
+            yield w, 2
+        else:
+            yield w, 1
+            if total == 2 and w[0] != w[1]:
+                yield w[::-1], 1
         return
     k = len(left)
+    # the letters that do not commute with each, itself aside
+    others = [~m ^ 1 << c for c, m in enumerate(commute)]
     avail = sum(1 << c for c, r in enumerate(left) if r)
-    word: list[int] = []
-    depth = 0   # len(word)
-    # per prefix: [children not yet entered, the children's counts,
-    # forbidden letters, letters at free positions]
-    stack = [[avail, [1] * k, 0, 0]]
-    memo: dict[Word, int] = {}
+    word = [0] * total
+    # tabs[j] belongs to word[:j]: it maps an up-set F of its heap, as a
+    # position mask without j - 1, to the count of word[:j] without F and
+    # that ideal's free letters, free positions and letters
+    tabs: list = [{0: (1, 0, 0, 0)}] + [None] * total
+
+    def sibling(i: int, f: int) -> tuple | None:
+        # word[:i] without f when f holds the positions q to i - 2: then the
+        # last letter d commutes with theirs, and the ideal is the sibling
+        # word[:q]·d without the rest of f, an entry of the sibling's table
+        # (filled by a nested call); None when f holds no such positions
+        q = i - 1
+        while q and f >> (q - 1) & 1:
+            q -= 1
+        if q == i - 1 or q >= len(stack):
+            return None
+        g = f & ~(-1 << q)
+        d = word[i - 1]
+        parent = stack[q]
+        sib = parent[2][d]
+        if sib is None:
+            sib = parent[2][d] = {0: parent[1][d]}
+        if g not in sib:
+            c = word[q]
+            below = tabs[q + 1]
+            word[q] = d
+            tabs[q + 1] = sib
+            without(q + 1, g, True)
+            word[q] = c
+            tabs[q + 1] = below
+        n, fl, fp, cl = sib[g]
+        entry = tabs[i][f] = n, fl, fp ^ 1 << q | 1 << (i - 1), cl
+        return entry
+
+    def without(j: int, up: int, nested: bool = False) -> int:
+        # the count of word[:j] without the up-set up; a nested call fills
+        # a sibling's table and reads no other sibling
+        todo = [(j, up)]
+        while todo:
+            item = todo[-1]
+            if len(item) > 2:
+                # the larger up-sets it waited for are counted now
+                i, f, n, kept, fl, fp, cl = item
+                tab = tabs[i]
+                while kept:
+                    x = kept & -kept
+                    kept ^= x
+                    n += tab[f | x][0]
+                tab[f] = n, fl, fp, cl
+                todo.pop()
+                continue
+            i, f = item
+            tab = tabs[i]
+            if f in tab:
+                todo.pop()
+                continue
+            # without its last position: word[:q] without g, where
+            # positions q to i - 2 are those of f just below the last
+            q = i - 1
+            while q and f >> (q - 1) & 1:
+                q -= 1
+            g = f & ~(-1 << q)
+            below = tabs[q].get(g)
+            if below is None and not nested:
+                below = sibling(q, g)
+            if below is None:
+                todo.append((q, g))
+                continue
+            n, fl, fp, cl = below
+            b = word[i - 1]
+            mask = commute[b]
+            if not cl & ~mask:
+                # position i - 1 is comparable to no other
+                tab[f] = (n * (i - f.bit_count()), fl | 1 << b,
+                          fp | 1 << (i - 1), cl | 1 << b)
+                todo.pop()
+                continue
+            keep = fl & mask
+            kept = fp if keep == fl else _kept(fp, mask, word) if keep else 0
+            resume = None
+            m = n
+            rest = kept
+            while rest:
+                x = rest & -rest
+                rest ^= x
+                entry = tab.get(f | x)
+                if entry is None and not nested:
+                    entry = sibling(i, f | x)
+                if entry is not None:
+                    m += entry[0]
+                    continue
+                if resume is None:
+                    resume = todo[-1] = (i, f, n, kept, keep | 1 << b,
+                                         kept | 1 << (i - 1), cl | 1 << b)
+                todo.append((i, f | x))
+            if resume is None:
+                tab[f] = m, keep | 1 << b, kept | 1 << (i - 1), cl | 1 << b
+                todo.pop()
+        return tabs[j][up][0]
+
+    depth = 0   # the length of the prefix on top of the stack
+    # per prefix: [children not yet entered, the children's (count, free
+    # letters, free positions, letters), their tables or None, forbidden
+    # letters]
+    stack = [[avail, [(1, 1 << c, 1, 1 << c) for c in range(k)], [None] * k,
+              0]]
     while True:
         frame = stack[-1]
-        todo, table, forbid, free = frame
+        todo, entries, tables, forbid = frame
         if not todo:
             if not depth:
                 return
             stack.pop()
-            c = word.pop()
             depth -= 1
+            c = word[depth]
             left[c] += 1
             avail |= 1 << c
             continue
         low = todo & -todo
         frame[0] = todo ^ low
         c = low.bit_length() - 1
-        size = table[c]
-        if not depth:
-            memo.clear()
         left[c] -= 1
         if not left[c]:
             avail ^= low
-        mask = commute[c]
-        forbid = (forbid | low - 1) & mask
+        forbid = (forbid | low - 1) & commute[c]
         allowed = avail & ~forbid
+        stuck = avail & forbid
+        while stuck:
+            x = stuck & -stuck
+            stuck ^= x
+            if not avail & others[x.bit_length() - 1]:
+                allowed = 0
+                break
         if not allowed:
             left[c] += 1
             avail |= low
             continue
-        earlier = free & mask   # free in word·c, before c
-        child = [0] * k
+        size, fl, fp, cl = entries[c]
+        word[depth] = c
+        tabs[depth + 1] = tables[c]   # made when first needed
+        j = depth + 2
+        at = 1 << depth   # c's position
+        end = at << 1   # the position after it
+        if depth + 3 < total:
+            if tabs[j - 1] is None:
+                tabs[j - 1] = tables[c] = {0: entries[c]}
+            child = [None] * k
+            ctab = [None] * k
+            rest = allowed
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                d = bit.bit_length() - 1
+                mask = commute[d]
+                if not cl & ~mask:
+                    child[d] = size * j, fl | bit, fp | end, cl | bit
+                    continue
+                keep = fl & mask
+                n = size
+                if keep & low:
+                    n += entries[d][0]
+                if not keep & ~low:
+                    kept = keep and at
+                else:
+                    earlier = fp ^ at
+                    if keep | low != fl:
+                        earlier = _kept(earlier, mask, word)
+                    kept = earlier | (keep & low and at)
+                    word[depth + 1] = d
+                    tabs[j] = t = ctab[d] = {}
+                    while earlier:
+                        x = earlier & -earlier
+                        earlier ^= x
+                        n += without(j, x)
+                    t[0] = child[d] = n, keep | bit, kept | end, cl | bit
+                    continue
+                child[d] = n, keep | bit, kept | end, cl | bit
+            stack.append([allowed, child, ctab, forbid])
+            depth += 1
+            continue
+        # two letters left: each word·c·d·e is a whole word, counted here
         rest = allowed
         while rest:
             bit = rest & -rest
             rest ^= bit
             d = bit.bit_length() - 1
-            n = size
-            side = commute[d]
-            if side & low:
-                n += table[d]
-            side &= earlier
-            while side:
-                y = side & -side
-                side ^= y
-                y = y.bit_length() - 1
-                j = depth - 1
-                while word[j] != y:
-                    j -= 1
-                n += _extension_count((*word[:j], *word[j + 1:], c, d),
-                                      commute, memo)
-            child[d] = n
-        if depth + 2 == total:
-            # one letter is left, so word·c has one child, a whole word
-            d = allowed.bit_length() - 1
-            yield (*word, c, d), child[d]
-            left[c] += 1
-            avail |= low
-            continue
-        word.append(c)
-        depth += 1
-        stack.append([allowed, child, forbid, earlier | low])
-
-
-def _extension_count(word: Word, commute: list[int],
-                     memo: dict[Word, int]) -> int:
-    """The size of the class of a word over the letters 1..k (commute as
-    for _normal_forms), counted from the end as there.
-
-    memo holds the counts of words with two free positions or more, and
-    calls with the same commute masks may share it. A word whose last
-    letter alone is free counts as its prefix and is neither copied nor
-    stored, so a long chain costs no memory; letters found missing from the
-    prefix are skipped from then on. An explicit stack replaces recursion:
-    a word whose subwords are not all counted is scanned again once they
-    are.
-    """
-    stack = [word]
-    while stack:
-        u = stack[-1]
-        if u in memo:
-            stack.pop()
-            continue
-        end = len(u)   # u counts as u[:end]
-        found: list[int] = []   # its free positions before the last
-        absent = 0   # letters known not to occur before end
-        while end > 1:
-            last = end - 1
-            free = commute[u[last]] & ~absent
-            j = last - 1
-            while free and j >= 0:
-                c = u[j]
-                if free >> c & 1:
-                    found.append(j)
-                free &= commute[c]
-                j -= 1
-            if found:
-                break
-            absent |= free   # what is left was not met before last
-            end = last
-        if not found:
-            memo[u] = 1
-            stack.pop()
-            continue
-        rest = u[:last]
-        total = 1 if last <= 1 else memo.get(rest)
-        pending = total is None
-        if pending:
-            stack.append(rest)
-            total = 0
-        for j in found:
-            v = u[:j] + u[j + 1:end]
-            n = 1 if last <= 1 else memo.get(v)
-            if n is None:
-                stack.append(v)
-                pending = True
+            e = d if left[d] == 2 else (avail ^ bit).bit_length() - 1
+            mask = commute[d]
+            if ((forbid | bit - 1) & mask) >> e & 1:
+                continue
+            word[depth + 1] = d
+            word[depth + 2] = e
+            t = None
+            if not cl & ~mask:
+                n = size * j
+                keep = fl
+                kept = fp
             else:
-                total += n
-        if not pending:
-            memo[u] = total
-            stack.pop()
-    return memo[word]
+                keep = fl & mask
+                n = size
+                if keep & low:
+                    n += entries[d][0]
+                if not keep & ~low:
+                    kept = keep and at
+                else:
+                    earlier = fp ^ at
+                    if keep | low != fl:
+                        earlier = _kept(earlier, mask, word)
+                    kept = earlier | (keep & low and at)
+                    if tabs[j - 1] is None:
+                        tabs[j - 1] = tables[c] = {0: entries[c]}
+                    tabs[j] = t = {}
+                    while earlier:
+                        x = earlier & -earlier
+                        earlier ^= x
+                        n += without(j, x)
+            mask = commute[e]
+            if not (cl | bit) & ~mask:
+                yield tuple(word), n * total
+                continue
+            fl2 = keep | bit
+            keep = fl2 & mask
+            if not keep:
+                yield tuple(word), n
+                continue
+            fp2 = kept | end
+            count = n
+            te = None
+            if keep & bit:
+                # d and e commute: without d the word is word·c·e
+                if not cl & ~mask:
+                    m = size * j
+                    ce = fl
+                    ke = fp
+                else:
+                    ce = fl & mask
+                    m = size
+                    if ce & low:
+                        m += entries[e][0]
+                    if not ce & ~low:
+                        ke = ce and at
+                    else:
+                        earlier = fp ^ at
+                        if ce | low != fl:
+                            earlier = _kept(earlier, mask, word)
+                        ke = earlier | (ce & low and at)
+                        word[depth + 1] = e
+                        if tabs[j - 1] is None:
+                            tabs[j - 1] = tables[c] = {0: entries[c]}
+                        tabs[j] = te = {}
+                        while earlier:
+                            x = earlier & -earlier
+                            earlier ^= x
+                            m += without(j, x)
+                        word[depth + 1] = d
+                count += m
+            if keep & ~bit:
+                if keep | bit != fl2:
+                    kept = _kept(kept, mask, word)
+                if tabs[j - 1] is None:
+                    tabs[j - 1] = tables[c] = {0: entries[c]}
+                if t is None:
+                    t = {}
+                t[0] = n, fl2, fp2, cl | bit
+                tabs[j] = t
+                tabs[j + 1] = {}
+                if keep & bit:
+                    # word·c·e, the sibling that the leaf's side terms
+                    # without d read
+                    sibs = [None] * k
+                    sibs[e] = m, ce | 1 << e, ke | end, cl | 1 << e
+                    ts = [None] * k
+                    if te is not None:
+                        ts[e] = te
+                        te[0] = sibs[e]
+                    stack.append([0, sibs, ts, 0])
+                while kept:
+                    x = kept & -kept
+                    kept ^= x
+                    count += without(j + 1, x)
+                if keep & bit:
+                    stack.pop()
+            yield tuple(word), count
+        left[c] += 1
+        avail |= low
+
+
+def _kept(positions: int, mask: int, word: list[int]) -> int:
+    """The positions in a position mask whose letters are in a letter mask."""
+    out = 0
+    while positions:
+        x = positions & -positions
+        positions ^= x
+        if mask >> word[x.bit_length() - 1] & 1:
+            out |= x
+    return out
 
 
 def _partition(values: list[int], counts: list[int], steps: Container[int],

@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -410,6 +411,68 @@ def test_partition_of_long_words():
     assert [cls.size for cls in partition] == [1] * 601
     assert partition[-1].representative == (3,) * 600 + (1,)
 
+
+
+def test_partition_sizes_against_the_heap_on_deep_and_wide_tables():
+    # each size against class_size, the heap's bitmask DP: one class of
+    # C(24, 12) words, whose tables hold thirteen entries a level; every
+    # content of three letters of four values; and the wide heaps of geq
+    (cls,) = multiset_class_partition(MultisetSpec.parse("1:12,2:12"))
+    assert cls.size == 2704156 == math.comb(24, 12)
+    assert cls.size == class_size(cls.representative)
+    for cls in multiset_class_partition(MultisetSpec.parse("1:3,2:3,3:3,4:3")):
+        assert cls.size == class_size(cls.representative)
+    for relation in ("geq:2", "geq:3"):
+        for n in range(9):
+            for cls in class_partition(n, relation):
+                assert cls.size == class_size(cls.representative, relation)
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_long_word_partition_needs_no_deep_recursion():
+    # 302 letters: the tables are filled on an explicit stack, so the
+    # search runs with 50 frames to spare
+    spec = MultisetSpec.parse("1:1,2:1,3:300")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 50)
+    try:
+        partition = multiset_class_partition(spec)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the 2 commutes with every letter and the rest is a chain, so each of
+    # the 301 places of the 1 among the 3s is a class of 302 words
+    assert len(partition) == 301
+    assert {cls.size for cls in partition} == {302}
+    for cls in partition[::30]:
+        assert cls.size == class_size(cls.representative)
+
+
+def test_skipped_prefixes_hold_no_class():
+    # a prefix is not entered when a forbidden letter commutes with every
+    # other letter left; every content of at most three values of 1..5,
+    # gaps included, with counts up to three, against the scan
+    for relation in ("consecutive", "geq:2"):
+        steps = parse_relation(relation)
+        for size in (1, 2, 3):
+            for values in itertools.combinations(range(1, 6), size):
+                for counts in itertools.product(range(1, 4), repeat=size):
+                    spec = MultisetSpec(tuple(zip(values, counts)))
+                    partition = classes._partition(
+                        list(values), list(counts), steps,
+                        classes.DEFAULT_ORBIT_CAP)
+                    oracle = _scan_partition(spec.words(), steps)
+                    assert _as_triples(partition) == oracle, (spec, steps)
+    # after 1·2 the 1s left are forbidden and commute with the 2s: the
+    # search skips it and keeps the one class
+    (cls,) = multiset_class_partition(MultisetSpec.parse("1:6,2:6"))
+    assert (cls.representative, cls.size) == ((1,) * 6 + (2,) * 6, 924)
 
 def _assert_scan_matches_bfs(partition, arrangements, relation):
     # the classes against breadth-first closures, order included
