@@ -10,18 +10,19 @@ the word's heap; every path below takes S alone. A partition lists each
 class's least word, its lexicographic normal form, by a depth-first search
 that visits no other word: each prefix tests its next letters as one mask,
 skips a prefix after which some letter left can never be placed, and counts
-its children's class sizes from tables kept on the search stack, one per
-prefix, of the prefix's counts without small up-sets of its heap. A class's
-members are listed only when read, by the breadth-first closure that
-class_of runs on a single class; tests/test_classes.py keeps a union-find
-scan over every word as the partition's oracle. Member order is
-lexicographic. Sizes, minima and segments of single words are read off the
-heap poset too. The orbit memory guard is a member cap
-(posets.DEFAULT_ORBIT_CAP, 10**7) and, when SALIENT_LIMIT_MB is set, a byte
-budget. A partition checks its arrangement count against it before the
-search, class_size passes it to NaturalPoset.extension_count as the cap on
-the heap's order ideals, and class_of checks the class size against it
-before its closure.
+its children's class sizes in one loop, from a table per prefix on the search
+path of the prefix's counts without small up-sets of its heap; the lists that
+hold a prefix's children and tables are kept per prefix length and reused by
+the next prefix of that length. A class's members are listed only when read,
+by the breadth-first closure that class_of runs on a single class;
+tests/test_classes.py keeps a union-find scan over every word as the
+partition's oracle. Member order is lexicographic. Sizes, minima and segments
+of single words are read off the heap poset too. The orbit memory guard is a
+member cap (posets.DEFAULT_ORBIT_CAP, 10**7) and, when SALIENT_LIMIT_MB is
+set, a byte budget. A partition checks its arrangement count against it
+before the search, class_size passes it to NaturalPoset.extension_count as
+the cap on the heap's order ideals, and class_of checks the class size
+against it before its closure.
 """
 from __future__ import annotations
 
@@ -182,7 +183,7 @@ def _normal_forms(counts: list[int], commute: list[int]
     counted from the end (a heap and its reversal have as many): count(u)
     is the sum of count(u without x) over the free positions x of u, those
     whose letter commutes with every later letter. Each prefix p = word[:j]
-    on the stack has a table from an up-set F of its heap, a mask of
+    on the search path has a table from an up-set F of its heap, a mask of
     positions before j - 1, to the count of p without F together with
     that ideal's free letters, free positions and letters. The last
     position is free and leaves word[:j - 1] without F, an entry of the
@@ -195,9 +196,17 @@ def _normal_forms(counts: list[int], commute: list[int]
     thus takes its parent's count, its sibling's and one entry per earlier
     free position. Entries are filled when first read, missing ones on an
     explicit stack, so no recursion grows with the word and no word is
-    copied, and a table is dropped with its prefix. Frames are pushed for
-    prefixes with three letters left or more: the frame that places the
-    third-to-last letter places the last two and counts those leaves.
+    copied.
+
+    The search keeps one set of lists per prefix length, reused along the
+    path: a prefix's children not yet entered, its forbidden letters, and
+    its children's entries and tables, which the next prefix of the same
+    length overwrites. One loop prices every child of the prefix just
+    entered. A sibling that is read is always a child of its level that
+    the prefix allows, so every entry read belongs to the path. With three
+    letters left or more the search descends; with two left, each whole
+    word word·c·d·e is counted from its child word·c·d, plus word·c·e when
+    d and e commute, plus its side terms.
     """
     left = list(counts)
     total = sum(left)
@@ -217,8 +226,26 @@ def _normal_forms(counts: list[int], commute: list[int]
     word = [0] * total
     # tabs[j] belongs to word[:j]: it maps an up-set F of its heap, as a
     # position mask without j - 1, to the count of word[:j] without F and
-    # that ideal's free letters, free positions and letters
+    # that ideal's free letters, free positions and letters; the entry for
+    # F = 0, word[:j]'s own, is put in when the table is read
     tabs: list = [{0: (1, 0, 0, 0)}] + [None] * total
+    # per level j, for the prefix word[:j] on the path: its children not
+    # yet entered, its forbidden letters, its children's (count, free
+    # letters, free positions, letters) and their tables or None; the next
+    # prefix of length j overwrites them
+    todos = [avail] + [0] * (total - 1)
+    forbids = [0] * total
+    kids = [[(1, 1 << c, 1, 1 << c) for c in range(k)]]
+    kids += [[None] * k for _ in range(total - 1)]
+    kid_tabs = [[None] * k for _ in range(total)]
+
+    def table(q: int, d: int) -> dict:
+        # the table of word[:q]·d, made when first needed, with its own entry
+        t = kid_tabs[q][d]
+        if t is None:
+            t = kid_tabs[q][d] = {}
+        t[0] = kids[q][d]
+        return t
 
     def sibling(i: int, f: int) -> tuple | None:
         # word[:i] without f when f holds the positions q to i - 2: then the
@@ -228,14 +255,11 @@ def _normal_forms(counts: list[int], commute: list[int]
         q = i - 1
         while q and f >> (q - 1) & 1:
             q -= 1
-        if q == i - 1 or q >= len(stack):
+        if q == i - 1:
             return None
         g = f & ~(-1 << q)
         d = word[i - 1]
-        parent = stack[q]
-        sib = parent[2][d]
-        if sib is None:
-            sib = parent[2][d] = {0: parent[1][d]}
+        sib = table(q, d)
         if g not in sib:
             c = word[q]
             below = tabs[q + 1]
@@ -314,31 +338,24 @@ def _normal_forms(counts: list[int], commute: list[int]
                 todo.pop()
         return tabs[j][up][0]
 
-    depth = 0   # the length of the prefix on top of the stack
-    # per prefix: [children not yet entered, the children's (count, free
-    # letters, free positions, letters), their tables or None, forbidden
-    # letters]
-    stack = [[avail, [(1, 1 << c, 1, 1 << c) for c in range(k)], [None] * k,
-              0]]
+    depth = 0   # the length of the prefix being extended
     while True:
-        frame = stack[-1]
-        todo, entries, tables, forbid = frame
+        todo = todos[depth]
         if not todo:
             if not depth:
                 return
-            stack.pop()
             depth -= 1
             c = word[depth]
             left[c] += 1
             avail |= 1 << c
             continue
         low = todo & -todo
-        frame[0] = todo ^ low
+        todos[depth] = todo ^ low
         c = low.bit_length() - 1
         left[c] -= 1
         if not left[c]:
             avail ^= low
-        forbid = (forbid | low - 1) & commute[c]
+        forbid = (forbids[depth] | low - 1) & commute[c]
         allowed = avail & ~forbid
         stuck = avail & forbid
         while stuck:
@@ -351,62 +368,28 @@ def _normal_forms(counts: list[int], commute: list[int]
             left[c] += 1
             avail |= low
             continue
+        entries = kids[depth]
         size, fl, fp, cl = entries[c]
         word[depth] = c
-        tabs[depth + 1] = tables[c]   # made when first needed
+        # word[:depth + 1]'s table: made here when the search descends below
+        # it, else when first needed
+        t = kid_tabs[depth][c]
+        if t is not None or depth + 3 < total:
+            t = table(depth, c)
+        tabs[depth + 1] = t
         j = depth + 2
         at = 1 << depth   # c's position
         end = at << 1   # the position after it
-        if depth + 3 < total:
-            if tabs[j - 1] is None:
-                tabs[j - 1] = tables[c] = {0: entries[c]}
-            child = [None] * k
-            ctab = [None] * k
-            rest = allowed
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                d = bit.bit_length() - 1
-                mask = commute[d]
-                if not cl & ~mask:
-                    child[d] = size * j, fl | bit, fp | end, cl | bit
-                    continue
-                keep = fl & mask
-                n = size
-                if keep & low:
-                    n += entries[d][0]
-                if not keep & ~low:
-                    kept = keep and at
-                else:
-                    earlier = fp ^ at
-                    if keep | low != fl:
-                        earlier = _kept(earlier, mask, word)
-                    kept = earlier | (keep & low and at)
-                    word[depth + 1] = d
-                    tabs[j] = t = ctab[d] = {}
-                    while earlier:
-                        x = earlier & -earlier
-                        earlier ^= x
-                        n += without(j, x)
-                    t[0] = child[d] = n, keep | bit, kept | end, cl | bit
-                    continue
-                child[d] = n, keep | bit, kept | end, cl | bit
-            stack.append([allowed, child, ctab, forbid])
-            depth += 1
-            continue
-        # two letters left: each word·c·d·e is a whole word, counted here
+        # price every child of word[:j - 1]
+        child = kids[depth + 1]
+        ctab = kid_tabs[depth + 1]
         rest = allowed
         while rest:
             bit = rest & -rest
             rest ^= bit
             d = bit.bit_length() - 1
-            e = d if left[d] == 2 else (avail ^ bit).bit_length() - 1
             mask = commute[d]
-            if ((forbid | bit - 1) & mask) >> e & 1:
-                continue
-            word[depth + 1] = d
-            word[depth + 2] = e
-            t = None
+            ctab[d] = None
             if not cl & ~mask:
                 n = size * j
                 keep = fl
@@ -423,79 +406,56 @@ def _normal_forms(counts: list[int], commute: list[int]
                     if keep | low != fl:
                         earlier = _kept(earlier, mask, word)
                     kept = earlier | (keep & low and at)
-                    if tabs[j - 1] is None:
-                        tabs[j - 1] = tables[c] = {0: entries[c]}
-                    tabs[j] = t = {}
+                    tabs[j - 1] = table(depth, c)
+                    word[depth + 1] = d
+                    tabs[j] = ctab[d] = {}
                     while earlier:
                         x = earlier & -earlier
                         earlier ^= x
                         n += without(j, x)
+            child[d] = n, keep | bit, kept | end, cl | bit
+        if depth + 3 < total:
+            # three letters left or more: descend
+            todos[depth + 1] = allowed
+            forbids[depth + 1] = forbid
+            depth += 1
+            continue
+        # two letters left: each word·c·d·e is a whole word, counted here
+        rest = allowed
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            d = bit.bit_length() - 1
+            # the other letter left, or d again
+            e = (avail ^ bit or bit).bit_length() - 1
             mask = commute[e]
-            if not (cl | bit) & ~mask:
-                yield tuple(word), n * total
+            if mask & bit and e < d:
+                # word·c·e·d is the normal form: the prune left e no other
+                # way to be forbidden after d
                 continue
-            fl2 = keep | bit
-            keep = fl2 & mask
+            word[depth + 1] = d
+            word[depth + 2] = e
+            n, fl, fp, cl = child[d]
+            keep = fl & mask
             if not keep:
                 yield tuple(word), n
                 continue
-            fp2 = kept | end
-            count = n
-            te = None
-            if keep & bit:
-                # d and e commute: without d the word is word·c·e
-                if not cl & ~mask:
-                    m = size * j
-                    ce = fl
-                    ke = fp
-                else:
-                    ce = fl & mask
-                    m = size
-                    if ce & low:
-                        m += entries[e][0]
-                    if not ce & ~low:
-                        ke = ce and at
-                    else:
-                        earlier = fp ^ at
-                        if ce | low != fl:
-                            earlier = _kept(earlier, mask, word)
-                        ke = earlier | (ce & low and at)
-                        word[depth + 1] = e
-                        if tabs[j - 1] is None:
-                            tabs[j - 1] = tables[c] = {0: entries[c]}
-                        tabs[j] = te = {}
-                        while earlier:
-                            x = earlier & -earlier
-                            earlier ^= x
-                            m += without(j, x)
-                        word[depth + 1] = d
-                count += m
+            if not cl & ~mask:
+                yield tuple(word), n * total
+                continue
+            # without d, when d and e commute, the word is word·c·e
+            count = n + child[e][0] if keep & bit else n
             if keep & ~bit:
-                if keep | bit != fl2:
+                kept = fp ^ end
+                if keep | bit != fl:
                     kept = _kept(kept, mask, word)
-                if tabs[j - 1] is None:
-                    tabs[j - 1] = tables[c] = {0: entries[c]}
-                if t is None:
-                    t = {}
-                t[0] = n, fl2, fp2, cl | bit
-                tabs[j] = t
+                tabs[j - 1] = table(depth, c)
+                tabs[j] = table(depth + 1, d)
                 tabs[j + 1] = {}
-                if keep & bit:
-                    # word·c·e, the sibling that the leaf's side terms
-                    # without d read
-                    sibs = [None] * k
-                    sibs[e] = m, ce | 1 << e, ke | end, cl | 1 << e
-                    ts = [None] * k
-                    if te is not None:
-                        ts[e] = te
-                        te[0] = sibs[e]
-                    stack.append([0, sibs, ts, 0])
                 while kept:
                     x = kept & -kept
                     kept ^= x
                     count += without(j + 1, x)
-                if keep & bit:
-                    stack.pop()
             yield tuple(word), count
         left[c] += 1
         avail |= low

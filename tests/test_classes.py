@@ -375,9 +375,11 @@ def test_partition_against_the_scan_on_gapped_multisets():
 def test_partition_against_the_scan_on_gapped_multisets_beyond_consecutive():
     # a consecutive heap's antichains hold at most two positions; these
     # relations give wider ones, so a word on repeated letters can take
-    # side terms from several earlier positions at once
+    # side terms from several earlier positions at once; under {2} a letter
+    # commutes with the letters two away but not with its neighbours, so
+    # the letters a prefix allows can have gaps
     for steps in (parse_relation("geq:2"), parse_relation("geq:3"),
-                  frozenset({1, 3})):
+                  frozenset({1, 3}), frozenset({2})):
         for spec in _random_gapped_specs(60, 8, seed=27):
             values = [v for v, _ in spec.counts]
             counts = [r for _, r in spec.counts]
@@ -385,6 +387,13 @@ def test_partition_against_the_scan_on_gapped_multisets_beyond_consecutive():
                                            classes.DEFAULT_ORBIT_CAP)
             oracle = _scan_partition(spec.words(), steps)
             assert _as_triples(partition) == oracle, (spec, steps)
+    for steps in (frozenset({2}), frozenset({1, 3})):
+        for n in range(8):
+            partition = classes._partition(list(range(1, n + 1)), [1] * n,
+                                           steps, classes.DEFAULT_ORBIT_CAP)
+            oracle = _scan_partition(
+                itertools.permutations(range(1, n + 1)), steps)
+            assert _as_triples(partition) == oracle, (n, steps)
 
 
 def test_partition_sizes_against_the_heap_at_total_ten():
