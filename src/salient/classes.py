@@ -183,18 +183,17 @@ def _normal_forms(counts: list[int], commute: list[int]
     counted from the end (a heap and its reversal have as many): count(u)
     is the sum of count(u without x) over the free positions x of u, those
     whose letter commutes with every later letter. Each prefix p = word[:j]
-    on the search path has a table from an up-set F of its heap, a mask of
-    positions before j - 1, to the count of p without F together with
-    that ideal's free letters, free positions and letters. The last
-    position is free and leaves word[:j - 1] without F, an entry of the
-    level below; each other free position x leaves F | x, an entry of the
-    same level. When F holds the positions from q up to the last, the
-    last letter commutes with all of theirs and the ideal is the sibling
-    word[:q]·(last letter) without the rest of F, whose table is read
-    instead; when the last letter commutes with every letter of the ideal,
-    its count is the ideal's size times the count below. A child's count
-    thus takes its parent's count, its sibling's and one entry per earlier
-    free position. Entries are filled when first read, missing ones on an
+    on the search path may have a table from an up-set F of its heap, a
+    mask of positions before j - 1, to the entry (count, free letters,
+    free positions) of the ideal p without F. A table is made when first
+    needed, so most prefixes never get one. The last position is free and
+    leaves word[:j - 1] without F, an entry of the level below; each other
+    free position x leaves F | x, an entry of the same level. When F holds
+    the positions from q up to the last, the last letter commutes with all
+    of theirs and the ideal is the sibling word[:q]·(last letter) without
+    the rest of F, whose table is read instead. A child's count thus takes
+    its parent's count, its sibling's and one entry per earlier free
+    position. Entries are filled when first read, missing ones on an
     explicit stack, so no recursion grows with the word and no word is
     copied.
 
@@ -224,18 +223,18 @@ def _normal_forms(counts: list[int], commute: list[int]
     others = [~m ^ 1 << c for c, m in enumerate(commute)]
     avail = sum(1 << c for c, r in enumerate(left) if r)
     word = [0] * total
-    # tabs[j] belongs to word[:j]: it maps an up-set F of its heap, as a
-    # position mask without j - 1, to the count of word[:j] without F and
-    # that ideal's free letters, free positions and letters; the entry for
-    # F = 0, word[:j]'s own, is put in when the table is read
-    tabs: list = [{0: (1, 0, 0, 0)}] + [None] * total
+    # tabs[j] is word[:j]'s table, or None until first needed: it maps an
+    # up-set F of its heap, as a position mask without j - 1, to the
+    # (count, free letters, free positions) of word[:j] without F; the
+    # entry for F = 0, word[:j]'s own, is put in by table()
+    tabs: list = [{0: (1, 0, 0)}] + [None] * total
     # per level j, for the prefix word[:j] on the path: its children not
     # yet entered, its forbidden letters, its children's (count, free
-    # letters, free positions, letters) and their tables or None; the next
-    # prefix of length j overwrites them
+    # letters, free positions) and their tables or None; the next prefix
+    # of length j overwrites them
     todos = [avail] + [0] * (total - 1)
     forbids = [0] * total
-    kids = [[(1, 1 << c, 1, 1 << c) for c in range(k)]]
+    kids = [[(1, 1 << c, 1) for c in range(k)]]
     kids += [[None] * k for _ in range(total - 1)]
     kid_tabs = [[None] * k for _ in range(total)]
 
@@ -268,8 +267,8 @@ def _normal_forms(counts: list[int], commute: list[int]
             without(q + 1, g, True)
             word[q] = c
             tabs[q + 1] = below
-        n, fl, fp, cl = sib[g]
-        entry = tabs[i][f] = n, fl, fp ^ 1 << q | 1 << (i - 1), cl
+        n, fl, fp = sib[g]
+        entry = tabs[i][f] = n, fl, fp ^ 1 << q | 1 << (i - 1)
         return entry
 
     def without(j: int, up: int, nested: bool = False) -> int:
@@ -280,13 +279,13 @@ def _normal_forms(counts: list[int], commute: list[int]
             item = todo[-1]
             if len(item) > 2:
                 # the larger up-sets it waited for are counted now
-                i, f, n, kept, fl, fp, cl = item
+                i, f, n, kept, fl, fp = item
                 tab = tabs[i]
                 while kept:
                     x = kept & -kept
                     kept ^= x
                     n += tab[f | x][0]
-                tab[f] = n, fl, fp, cl
+                tab[f] = n, fl, fp
                 todo.pop()
                 continue
             i, f = item
@@ -300,21 +299,18 @@ def _normal_forms(counts: list[int], commute: list[int]
             while q and f >> (q - 1) & 1:
                 q -= 1
             g = f & ~(-1 << q)
-            below = tabs[q].get(g)
+            level = tabs[q]
+            if level is None:
+                level = tabs[q] = table(q - 1, word[q - 1])
+            below = level.get(g)
             if below is None and not nested:
                 below = sibling(q, g)
             if below is None:
                 todo.append((q, g))
                 continue
-            n, fl, fp, cl = below
+            n, fl, fp = below
             b = word[i - 1]
             mask = commute[b]
-            if not cl & ~mask:
-                # position i - 1 is comparable to no other
-                tab[f] = (n * (i - f.bit_count()), fl | 1 << b,
-                          fp | 1 << (i - 1), cl | 1 << b)
-                todo.pop()
-                continue
             keep = fl & mask
             kept = fp if keep == fl else _kept(fp, mask, word) if keep else 0
             resume = None
@@ -331,10 +327,10 @@ def _normal_forms(counts: list[int], commute: list[int]
                     continue
                 if resume is None:
                     resume = todo[-1] = (i, f, n, kept, keep | 1 << b,
-                                         kept | 1 << (i - 1), cl | 1 << b)
+                                         kept | 1 << (i - 1))
                 todo.append((i, f | x))
             if resume is None:
-                tab[f] = m, keep | 1 << b, kept | 1 << (i - 1), cl | 1 << b
+                tab[f] = m, keep | 1 << b, kept | 1 << (i - 1)
                 todo.pop()
         return tabs[j][up][0]
 
@@ -369,14 +365,10 @@ def _normal_forms(counts: list[int], commute: list[int]
             avail |= low
             continue
         entries = kids[depth]
-        size, fl, fp, cl = entries[c]
+        size, fl, fp = entries[c]
         word[depth] = c
-        # word[:depth + 1]'s table: made here when the search descends below
-        # it, else when first needed
-        t = kid_tabs[depth][c]
-        if t is not None or depth + 3 < total:
-            t = table(depth, c)
-        tabs[depth + 1] = t
+        # word[:depth + 1]'s table, or None until first needed
+        tabs[depth + 1] = kid_tabs[depth][c]
         j = depth + 2
         at = 1 << depth   # c's position
         end = at << 1   # the position after it
@@ -390,30 +382,24 @@ def _normal_forms(counts: list[int], commute: list[int]
             d = bit.bit_length() - 1
             mask = commute[d]
             ctab[d] = None
-            if not cl & ~mask:
-                n = size * j
-                keep = fl
-                kept = fp
+            keep = fl & mask
+            n = size
+            if keep & low:
+                n += entries[d][0]
+            if not keep & ~low:
+                kept = keep and at
             else:
-                keep = fl & mask
-                n = size
-                if keep & low:
-                    n += entries[d][0]
-                if not keep & ~low:
-                    kept = keep and at
-                else:
-                    earlier = fp ^ at
-                    if keep | low != fl:
-                        earlier = _kept(earlier, mask, word)
-                    kept = earlier | (keep & low and at)
-                    tabs[j - 1] = table(depth, c)
-                    word[depth + 1] = d
-                    tabs[j] = ctab[d] = {}
-                    while earlier:
-                        x = earlier & -earlier
-                        earlier ^= x
-                        n += without(j, x)
-            child[d] = n, keep | bit, kept | end, cl | bit
+                earlier = fp ^ at
+                if keep | low != fl:
+                    earlier = _kept(earlier, mask, word)
+                kept = earlier | (keep & low and at)
+                word[depth + 1] = d
+                tabs[j] = ctab[d] = {}
+                while earlier:
+                    x = earlier & -earlier
+                    earlier ^= x
+                    n += without(j, x)
+            child[d] = n, keep | bit, kept | end
         if depth + 3 < total:
             # three letters left or more: descend
             todos[depth + 1] = allowed
@@ -435,13 +421,10 @@ def _normal_forms(counts: list[int], commute: list[int]
                 continue
             word[depth + 1] = d
             word[depth + 2] = e
-            n, fl, fp, cl = child[d]
+            n, fl, fp = child[d]
             keep = fl & mask
             if not keep:
                 yield tuple(word), n
-                continue
-            if not cl & ~mask:
-                yield tuple(word), n * total
                 continue
             # without d, when d and e commute, the word is word·c·e
             count = n + child[e][0] if keep & bit else n
@@ -449,8 +432,7 @@ def _normal_forms(counts: list[int], commute: list[int]
                 kept = fp ^ end
                 if keep | bit != fl:
                     kept = _kept(kept, mask, word)
-                tabs[j - 1] = table(depth, c)
-                tabs[j] = table(depth + 1, d)
+                tabs[j] = ctab[d]
                 tabs[j + 1] = {}
                 while kept:
                     x = kept & -kept

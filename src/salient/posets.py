@@ -457,13 +457,16 @@ class GradedPoset:
         return cls(ranks, covers, labels)
 
     def to_dot(self) -> str:
+        # DOT IDs in double quotes, with backslashes and quotes escaped
+        ids = ['"' + lab.replace("\\", "\\\\").replace('"', '\\"') + '"'
+               for lab in self.labels]
         lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=plaintext];"]
         for layer in self.layers():
             if layer:
-                same = " ".join(f'"{self.labels[e]}"' for e in layer)
+                same = " ".join(ids[e] for e in layer)
                 lines.append(f"  {{ rank=same; {same} }}")
         for lo, hi in self.covers:
-            lines.append(f'  "{self.labels[lo]}" -> "{self.labels[hi]}";')
+            lines.append(f"  {ids[lo]} -> {ids[hi]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -184,17 +184,20 @@ class TruncatedSeries:
         Visits the exponent box in lexicographic order, so every e - d with
         d != 0 comes before e, and solves self * inv = 1 coefficientwise:
         inv[e] = (delta(e, 0) - sum_{d != 0} self[d] * inv[e - d]) / self[0].
-        That costs |box| * |support| multiplications.
+        The support is sorted, so the terms d whose first exponent exceeds
+        e's, which cannot divide e, are never visited.
         """
         zero = (0,) * len(self.variables)
         c0 = self.coeffs.get(zero, 0)
         if not c0:
             raise DomainError("cannot invert a series with zero constant term")
-        support = [(d, v) for d, v in self.coeffs.items() if d != zero]
+        support = sorted((d, v) for d, v in self.coeffs.items() if d != zero)
         inv: dict[tuple[int, ...], object] = {}
         for e in itertools.product(*(range(c + 1) for c in self.caps)):
             acc = 1 if e == zero else 0
             for d, v in support:
+                if d[0] > e[0]:
+                    break
                 # a key with a negative entry is never in inv
                 prev = inv.get(tuple(map(sub, e, d)))
                 if prev:

@@ -250,7 +250,8 @@ class MultisetSpec:
 
     @classmethod
     def parse(cls, text: str) -> "MultisetSpec":
-        """Parse "1:2,2:1,3:2" into a spec.
+        """Parse "1:2,2:1,3:2" into a spec. Each part is checked before the
+        parts of one value are summed; zero counts are dropped.
 
         >>> MultisetSpec.parse("1:2,2:1,3:2").total
         5
@@ -261,10 +262,14 @@ class MultisetSpec:
             return cls(())
         for part in text.split(","):
             try:
-                v, r = part.split(":")
-                counts[int(v)] = counts.get(int(v), 0) + int(r)
+                v, r = map(int, part.split(":"))
             except ValueError:
                 raise DomainError(f"cannot parse multiset {text!r}") from None
+            if v < 1:
+                raise DomainError(f"multiset values must be >= 1, got {v}")
+            if r < 0:
+                raise DomainError(f"multiset counts must be >= 0, got {r}")
+            counts[v] = counts.get(v, 0) + r
         return cls.from_mapping(counts)
 
     def format(self) -> str:

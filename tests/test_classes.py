@@ -425,7 +425,8 @@ def test_partition_of_long_words():
 def test_partition_sizes_against_the_heap_on_deep_and_wide_tables():
     # each size against class_size, the heap's bitmask DP: one class of
     # C(24, 12) words, whose tables hold thirteen entries a level; every
-    # content of three letters of four values; and the wide heaps of geq
+    # content of three letters of four values; and the wide heaps of geq,
+    # up to ideals of six pairwise commuting letters at n = 11
     (cls,) = multiset_class_partition(MultisetSpec.parse("1:12,2:12"))
     assert cls.size == 2704156 == math.comb(24, 12)
     assert cls.size == class_size(cls.representative)
@@ -435,6 +436,11 @@ def test_partition_sizes_against_the_heap_on_deep_and_wide_tables():
         for n in range(9):
             for cls in class_partition(n, relation):
                 assert cls.size == class_size(cls.representative, relation)
+    wide = class_partition(11, "geq:2", max_members=math.factorial(11))
+    assert len(wide) == f_j_count(11, 2) == 1024
+    assert sum(cls.size for cls in wide) == math.factorial(11)
+    for cls in wide:
+        assert cls.size == class_size(cls.representative, "geq:2")
 
 
 def _frame_depth():

@@ -424,6 +424,8 @@ def test_count_refuses_negative_n(capsys):
     ("cf --n 3 --caps 200,200,-201", "caps must be nonnegative"),
     ("enumerate --by rank --max -1", "rank bound must be >= 0"),
     ("enumerate --by elements --max -1", "element bound must be >= 0"),
+    # each part of a spec is checked before the parts of one value are summed
+    ("multiset --spec 1:3,1:-1,2:1", "multiset counts must be >= 0, got -1"),
 ])
 def test_negative_sizes_exit_1(capsys, argv, expected):
     assert run(capsys, *argv.split()) == (1, "", f"error: {expected}\n")

@@ -1042,3 +1042,8 @@ def test_poset_dot_output():
     assert dot.startswith("digraph")
     assert "rank=same" in dot
     assert '"{}" -> "{1}"' in dot
+    # labels are quoted DOT IDs: a backslash or a quote in one is escaped
+    poset = GradedPoset([0, 1, 1], [(0, 1), (0, 2)], ['a"b', "x\\", "c"])
+    dot = poset.to_dot()
+    assert '  { rank=same; "x\\\\" "c" }' in dot
+    assert '  "a\\"b" -> "x\\\\";' in dot

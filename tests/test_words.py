@@ -146,6 +146,15 @@ def test_multiset_spec():
     assert MultisetSpec.parse(spec.format()) == spec
     with pytest.raises(DomainError):
         MultisetSpec.parse("1:x")
+    # each part is checked before the parts of one value are summed
+    for text, message in (("1:3,1:-1,2:1", "counts must be >= 0, got -1"),
+                          ("1:2,1:-2", "counts must be >= 0, got -2"),
+                          ("0:0", "values must be >= 1, got 0"),
+                          ("-1:2", "values must be >= 1, got -1")):
+        with pytest.raises(DomainError, match=message):
+            MultisetSpec.parse(text)
+    # zero counts are dropped, and the parts of one value summed
+    assert MultisetSpec.parse("1:0,2:1,2:1,3:0") == MultisetSpec(((2, 2),))
     for counts, message in ((((0, 1),), "values must be >= 1"),
                             (((1, 0),), "counts must be >= 1"),
                             (((1, 1), (1, 2)), "duplicate value 1"),
