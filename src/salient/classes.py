@@ -14,15 +14,15 @@ its children's class sizes in one loop, from a table per prefix on the search
 path of the prefix's counts without small up-sets of its heap; the lists that
 hold a prefix's children and tables are kept per prefix length and reused by
 the next prefix of that length. A class's members are listed only when read,
-by the breadth-first closure that class_of runs on a single class;
-tests/test_classes.py keeps a union-find scan over every word as the
-partition's oracle. Member order is lexicographic. Sizes, minima and segments
-of single words are read off the heap poset too. The orbit memory guard is a
-member cap (posets.DEFAULT_ORBIT_CAP, 10**7) and, when SALIENT_LIMIT_MB is
-set, a byte budget. A partition checks its arrangement count against it
-before the search, class_size passes it to NaturalPoset.extension_count as
-the cap on the heap's order ideals, and class_of checks the class size
-against it before its closure.
+by breadth-first closure from its least word, for a partition class and a
+single word's class alike; tests/test_classes.py keeps a union-find scan over
+every word as the partition's oracle. Member order is lexicographic. Sizes,
+least words and segments of single words are read off the heap poset, under
+every relation. The orbit memory guard is a member cap
+(posets.DEFAULT_ORBIT_CAP, 10**7) and, when SALIENT_LIMIT_MB is set, a byte
+budget. A partition checks its arrangement count against it before the
+search, class_size passes it to NaturalPoset.extension_count as the cap on
+the heap's order ideals, and class_of checks the class size against it.
 """
 from __future__ import annotations
 
@@ -46,18 +46,17 @@ DEFAULT_SINGLETON_BRUTE_N = 9
 class EquivalenceClass:
     """An orbit: its least member (the representative), its size and the
     relation's letter differences. The members, in lexicographic order, are
-    listed by breadth-first closure each time they are read, unless the class
-    was built with them; equality, hashing and `in` go by the members."""
+    listed by breadth-first closure each time they are read, for a partition
+    class and a single word's class alike; equality, hashing and `in` go by
+    the members."""
 
-    __slots__ = ("_representative", "_size", "_steps", "_members")
+    __slots__ = ("_representative", "_size", "_steps")
 
     def __init__(self, representative: Word, size: int,
-                 steps: Container[int],
-                 members: tuple[Word, ...] | None = None):
+                 steps: Container[int]):
         self._representative = representative
         self._size = size
         self._steps = steps
-        self._members = members
 
     @property
     def representative(self) -> Word:
@@ -69,8 +68,6 @@ class EquivalenceClass:
 
     @property
     def members(self) -> tuple[Word, ...]:
-        if self._members is not None:
-            return self._members
         return tuple(sorted(_closure(self._representative, self._steps,
                                      self._size)))
 
@@ -128,10 +125,11 @@ def _orbit_cap(word_length: int, cap: int) -> int:
 
 def class_of(word, relation: str = CONSECUTIVE,
              max_members: int = DEFAULT_ORBIT_CAP) -> EquivalenceClass:
-    """Breadth-first closure of a word, of distinct or repeated letters,
-    under the swaps at the relation's letter differences. The class size
-    is read off the heap first (class_size), so an orbit over the member
-    cap raises before the search starts, and the search stops at that size.
+    """The class of a word, of distinct or repeated letters, under the
+    swaps at the relation's letter differences. Its size and least word are
+    read off the heap (class_size, _least_word), and an orbit over the
+    member cap raises; no word is listed here. The members are listed by
+    breadth-first closure when read, as a partition class's are.
     """
     steps = parse_relation(relation)
     w = check_word(word)
@@ -139,8 +137,7 @@ def class_of(word, relation: str = CONSECUTIVE,
     size = class_size(w, relation, cap)
     if size > cap:
         raise OrbitOverflowError(f"orbit of {w} exceeds {cap} members")
-    members = tuple(sorted(_closure(w, steps, size)))
-    return EquivalenceClass(members[0], size, steps, members)
+    return EquivalenceClass(_least_word(w, steps), size, steps)
 
 
 def _closure(w: Word, steps: Container[int], limit: int) -> set[Word]:
@@ -191,7 +188,10 @@ def _normal_forms(counts: list[int], commute: list[int]
     free position x leaves F | x, an entry of the same level. When F holds
     the positions from q up to the last, the last letter commutes with all
     of theirs and the ideal is the sibling word[:q]·(last letter) without
-    the rest of F, whose table is read instead. A child's count thus takes
+    the rest of F: the sibling's own entry when that rest is empty, else
+    an entry of the sibling's table, which is read when it holds the
+    entry. No nested search fills a sibling's table; an ideal it does not
+    hold is counted on the path like any other. A child's count thus takes
     its parent's count, its sibling's and one entry per earlier free
     position. Entries are filled when first read, missing ones on an
     explicit stack, so no recursion grows with the word and no word is
@@ -223,10 +223,11 @@ def _normal_forms(counts: list[int], commute: list[int]
     others = [~m ^ 1 << c for c, m in enumerate(commute)]
     avail = sum(1 << c for c, r in enumerate(left) if r)
     word = [0] * total
-    # tabs[j] is word[:j]'s table, or None until first needed: it maps an
-    # up-set F of its heap, as a position mask without j - 1, to the
-    # (count, free letters, free positions) of word[:j] without F; the
-    # entry for F = 0, word[:j]'s own, is put in by table()
+    # tabs[j] is word[:j]'s table, or None until without first needs it
+    # and makes it with word[:j]'s own entry (F = 0): it maps an up-set F
+    # of its heap, as a position mask without j - 1, to the (count, free
+    # letters, free positions) of word[:j] without F. A sibling's table is
+    # read when it holds the entry; no nested search fills it
     tabs: list = [{0: (1, 0, 0)}] + [None] * total
     # per level j, for the prefix word[:j] on the path: its children not
     # yet entered, its forbidden letters, its children's (count, free
@@ -238,19 +239,12 @@ def _normal_forms(counts: list[int], commute: list[int]
     kids += [[None] * k for _ in range(total - 1)]
     kid_tabs = [[None] * k for _ in range(total)]
 
-    def table(q: int, d: int) -> dict:
-        # the table of word[:q]·d, made when first needed, with its own entry
-        t = kid_tabs[q][d]
-        if t is None:
-            t = kid_tabs[q][d] = {}
-        t[0] = kids[q][d]
-        return t
-
     def sibling(i: int, f: int) -> tuple | None:
         # word[:i] without f when f holds the positions q to i - 2: then the
         # last letter d commutes with theirs, and the ideal is the sibling
-        # word[:q]·d without the rest of f, an entry of the sibling's table
-        # (filled by a nested call); None when f holds no such positions
+        # word[:q]·d without the rest of f, read when the sibling's entry or
+        # table holds it; None when it does not, or when f holds no such
+        # positions
         q = i - 1
         while q and f >> (q - 1) & 1:
             q -= 1
@@ -258,22 +252,19 @@ def _normal_forms(counts: list[int], commute: list[int]
             return None
         g = f & ~(-1 << q)
         d = word[i - 1]
-        sib = table(q, d)
-        if g not in sib:
-            c = word[q]
-            below = tabs[q + 1]
-            word[q] = d
-            tabs[q + 1] = sib
-            without(q + 1, g, True)
-            word[q] = c
-            tabs[q + 1] = below
-        n, fl, fp = sib[g]
+        if g:
+            sib = kid_tabs[q][d]
+            entry = sib.get(g) if sib else None
+            if entry is None:
+                return None
+        else:
+            entry = kids[q][d]
+        n, fl, fp = entry
         entry = tabs[i][f] = n, fl, fp ^ 1 << q | 1 << (i - 1)
         return entry
 
-    def without(j: int, up: int, nested: bool = False) -> int:
-        # the count of word[:j] without the up-set up; a nested call fills
-        # a sibling's table and reads no other sibling
+    def without(j: int, up: int) -> int:
+        # the count of word[:j] without the up-set up
         todo = [(j, up)]
         while todo:
             item = todo[-1]
@@ -301,9 +292,11 @@ def _normal_forms(counts: list[int], commute: list[int]
             g = f & ~(-1 << q)
             level = tabs[q]
             if level is None:
-                level = tabs[q] = table(q - 1, word[q - 1])
+                # word[:q]'s table, made when first needed, with its own entry
+                d = word[q - 1]
+                level = tabs[q] = kid_tabs[q - 1][d] = {0: kids[q - 1][d]}
             below = level.get(g)
-            if below is None and not nested:
+            if below is None:
                 below = sibling(q, g)
             if below is None:
                 todo.append((q, g))
@@ -320,7 +313,7 @@ def _normal_forms(counts: list[int], commute: list[int]
                 x = rest & -rest
                 rest ^= x
                 entry = tab.get(f | x)
-                if entry is None and not nested:
+                if entry is None:
                     entry = sibling(i, f | x)
                 if entry is not None:
                     m += entry[0]
@@ -525,13 +518,12 @@ def _heap(w: Word, steps: Container[int]) -> NaturalPoset:
     return NaturalPoset._closed(len(w), tuple(down))
 
 
-def salient_representative(word) -> Word:
-    """Lexicographic minimum of the class (the salient member for a
-    permutation): place, again and again, the free heap position with the
-    smallest letter. Free positions are an antichain, whose letters differ
-    pairwise by exactly one, so at most two are free and they never tie."""
-    w = check_word(word)
-    down = _heap(w, {1}).down
+def _least_word(w: Word, steps: Container[int]) -> Word:
+    """Lexicographic minimum of w's class under the moves at the letter
+    differences in steps: place, again and again, the free heap position
+    with the smallest letter. Free positions are pairwise incomparable, so
+    their letters differ by an element of steps and never tie."""
+    down = _heap(w, steps).down
     placed = 0
     out = []
     for _ in w:
@@ -541,6 +533,12 @@ def salient_representative(word) -> Word:
         placed |= 1 << p
         out.append(w[p])
     return tuple(out)
+
+
+def salient_representative(word) -> Word:
+    """Lexicographic minimum of the word's consecutive class: the salient
+    member for a permutation."""
+    return _least_word(check_word(word), frozenset({1}))
 
 
 def segment_decomposition(word) -> tuple[Word, ...]:

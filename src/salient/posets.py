@@ -256,6 +256,9 @@ class GradedPoset:
     def __setattr__(self, name, value):
         raise AttributeError("GradedPoset is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("GradedPoset is immutable")
+
     def __reduce__(self):
         return GradedPoset, (self.ranks, self.covers, self.labels)
 

@@ -93,6 +93,9 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("TruncatedSeries is immutable")
+
     def __reduce__(self):
         return TruncatedSeries, (self.variables, self.caps, self.coeffs)
 

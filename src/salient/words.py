@@ -38,7 +38,7 @@ def check_word(word) -> Word:
     """
     w = tuple(word)
     for a in w:
-        if not isinstance(a, int) or a < 1:
+        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
             raise DomainError(f"letters must be integers >= 1, got {a!r}")
     return w
 
@@ -212,9 +212,9 @@ class MultisetSpec:
     def __init__(self, counts: tuple[tuple[int, int], ...]):
         seen = set()
         for v, r in counts:
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise DomainError(f"multiset values must be >= 1, got {v!r}")
-            if not isinstance(r, int) or r < 1:
+            if not isinstance(r, int) or isinstance(r, bool) or r < 1:
                 raise DomainError(f"counts must be >= 1, got {r!r}")
             if v in seen:
                 raise DomainError(f"duplicate value {v}")

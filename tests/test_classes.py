@@ -72,6 +72,12 @@ def test_class_of_checks_the_heap_size_before_searching(monkeypatch):
                        match=r"^orbit of \(1, 3, 5, .*\) exceeds 100 members$"):
         class_of((1, 3, 5, 7, 9, 2, 4, 6, 8), "geq:2", max_members=100)
     assert expanded == []
+    # an admitted class lists its members only when they are read
+    cls = class_of((2, 1, 4, 3))
+    assert expanded == []
+    assert cls.members == ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4),
+                           (2, 1, 3, 4), (2, 1, 4, 3))
+    assert expanded
 
 
 def test_env_memory_cap(monkeypatch):
@@ -261,6 +267,7 @@ def _assert_geq_sizes(words, j):
         assert class_size(w, relation) == len(orbit), (w, relation)
         cls = class_of(w, relation)
         assert cls.size == len(orbit) and set(cls.members) == orbit
+        assert cls.representative == min(orbit)
 
 
 def test_geq_class_sizes_against_bfs_on_permutations():

@@ -384,6 +384,10 @@ def test_graded_poset_pickles_and_copies_through_its_constructor():
         for twin in (pickle.loads(pickle.dumps(poset)), copy.copy(poset),
                      copy.deepcopy(poset)):
             assert twin == poset and twin is not poset
+        with pytest.raises(AttributeError, match="^GradedPoset is immutable$"):
+            poset.covers = ()
+        with pytest.raises(AttributeError, match="^GradedPoset is immutable$"):
+            del poset.covers
     assert pickle.loads(pickle.dumps(lattice)).flag_beta_vector() == beta
 
 

@@ -85,6 +85,12 @@ def test_series_pickles_and_copies_through_its_constructor():
                      copy.deepcopy(s)):
             assert twin == s and twin is not s
             assert twin.coeffs is not s.coeffs
+        with pytest.raises(AttributeError,
+                           match="^TruncatedSeries is immutable$"):
+            s.coeffs = {}
+        with pytest.raises(AttributeError,
+                           match="^TruncatedSeries is immutable$"):
+            del s.coeffs
 
 
 def test_series_validation():

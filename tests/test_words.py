@@ -128,6 +128,10 @@ def test_word_serialization_round_trip():
         parse_word("102x")
     with pytest.raises(DomainError):
         parse_word("0")
+    # a bool is an int to Python, but no letter
+    for w in ((True, 2), (1, False)):
+        with pytest.raises(DomainError, match="^letters must be integers"):
+            words.check_word(w)
 
 
 def test_permutation_check():
@@ -157,6 +161,8 @@ def test_multiset_spec():
     assert MultisetSpec.parse("1:0,2:1,2:1,3:0") == MultisetSpec(((2, 2),))
     for counts, message in ((((0, 1),), "values must be >= 1"),
                             (((1, 0),), "counts must be >= 1"),
+                            (((True, 2),), "values must be >= 1"),
+                            (((1, True),), "counts must be >= 1"),
                             (((1, 1), (1, 2)), "duplicate value 1"),
                             (((2, 1), (1, 1)), "sorted by value")):
         with pytest.raises(DomainError, match=message):
